@@ -4,9 +4,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 .PHONY: test test-hashseed test-faults bench bench-smoke bench-fleet \
 	bench-store bench-monitor serve-smoke lint docs-check schema-check
 
-# Tier-1 verification: the full unit/integration suite.
+# Tier-1 verification: the full unit/integration suite.  The ten
+# slowest tests are listed so a stalled test shows up in every CI log.
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=10
 
 # Dispatcher-, service- and monitor-equivalence tests under both the
 # default (randomized) and a pinned hash seed: set/dict iteration

@@ -16,11 +16,36 @@ dataclasses below — never an ad-hoc tuple or dict.  The contract:
   obj.to_json()))) == obj`` holds for every model, so the same objects
   can cross a process boundary, a message queue, or the ROADMAP's
   future many-host dispatcher without a separate serialization layer.
-* **Strict** — unknown fields, missing required fields and malformed
-  shapes raise :class:`~repro.service.errors.SchemaMismatchError`; bad
-  field *values* (e.g. an unknown decision verb) raise
+* **Strict** — unknown fields, missing fields and values of the wrong
+  JSON type or shape raise
+  :class:`~repro.service.errors.SchemaMismatchError`; bad field
+  *values* (e.g. an unknown decision verb) raise
   :class:`~repro.service.errors.InvalidRequestError` at construction
   time, so an invalid request object cannot even be built.
+
+The codec is derived from the declarations: every model subclasses
+:class:`WireModel`, which makes it a frozen dataclass, takes its
+``kind`` from the class name, and compiles one encoder/decoder per
+field from ``dataclasses.fields`` and the type annotations, once, when
+the class is defined.  ``to_json`` writes the ``kind``/``schema``
+header, then every field in declaration order, tuples as lists.
+``from_json`` requires every declared field — ``to_json`` always
+writes them all — and checks JSON types and shapes only; value rules
+(decision verbs, empty ids, event normalisation) live in each model's
+``__post_init__``.  The annotation forms are:
+
+* ``str``; ``int`` (``bool`` rejected); ``float`` (``int`` accepted
+  and widened, ``bool`` rejected); ``X | None``;
+* ``object`` — any JSON value, through :func:`_wire_value`;
+* ``dict[str, X]``, ``tuple[X, ...]`` and fixed-arity ``tuple[X, Y]``
+  (a JSON list of exactly that length);
+* another :class:`WireModel`, nested as its own stamped record.
+
+Any other annotation raises ``TypeError`` when the model is defined.
+A field declared with ``metadata=ROWS_CHECKED_BY_MODEL`` has its
+fixed-arity rows checked for length only: the model's ``__post_init__``
+validates and normalises their values itself, so a monitor batch is
+validated in one pass.
 
 Regenerate the manifest after a deliberate, version-bumped change
 with::
@@ -32,9 +57,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, ClassVar
+from typing import (
+    Any,
+    ClassVar,
+    Self,
+    dataclass_transform,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.service.errors import (
     ERROR_CODES,
@@ -54,9 +89,13 @@ OBSERVATION_OUTCOMES = ("confirmed", "contradicted", "anomaly")
 SESSION_PENDING = "pending"
 SESSION_DECIDED = "decided"
 
+# Field metadata: the model's ``__post_init__`` validates this field's
+# fixed-arity rows, so the codec checks their length only.
+ROWS_CHECKED_BY_MODEL = {"rows_checked_by_model": True}
+
 
 # ----------------------------------------------------------------------
-# Encode/decode helpers
+# The derived codec
 
 
 def _wire_value(value: object) -> object:
@@ -65,10 +104,6 @@ def _wire_value(value: object) -> object:
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
     return str(value)
-
-
-def _header(kind: str) -> dict:
-    return {"kind": kind, "schema": WIRE_SCHEMA_VERSION}
 
 
 def _check_header(kind: str, data: object) -> dict:
@@ -88,99 +123,171 @@ def _check_header(kind: str, data: object) -> dict:
     return data
 
 
-def _str_field(kind: str, data: dict, name: str) -> str:
-    value = data.get(name)
-    if not isinstance(value, str):
-        raise SchemaMismatchError(
-            f"{kind}.{name}: expected a string, got {value!r}"
-        )
-    return value
+def _mismatch(expected: str, value: object) -> SchemaMismatchError:
+    return SchemaMismatchError(f"expected {expected}, got {value!r}")
 
 
-def _opt_str_field(kind: str, data: dict, name: str) -> str | None:
-    value = data.get(name)
-    if value is not None and not isinstance(value, str):
-        raise SchemaMismatchError(
-            f"{kind}.{name}: expected a string or null, got {value!r}"
-        )
-    return value
+def _decode_str(value: object) -> str:
+    if isinstance(value, str):
+        return value
+    raise _mismatch("a string", value)
 
 
-def _int_field(kind: str, data: dict, name: str) -> int:
-    value = data.get(name)
+def _decode_int(value: object) -> int:
     # bool is an int subclass; a True/False counter is malformed wire.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaMismatchError(
-            f"{kind}.{name}: expected an integer, got {value!r}"
-        )
-    return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _mismatch("an integer", value)
 
 
-def _float_field(kind: str, data: dict, name: str) -> float:
-    value = data.get(name)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SchemaMismatchError(
-            f"{kind}.{name}: expected a number, got {value!r}"
-        )
-    return float(value)
+def _decode_float(value: object) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise _mismatch("a number", value)
 
 
-def _count_dict_field(kind: str, data: dict, name: str) -> dict[str, int]:
-    value = data.get(name, {})
-    if not isinstance(value, dict) or not all(
-        isinstance(k, str)
-        and isinstance(v, int)
-        and not isinstance(v, bool)
-        for k, v in value.items()
+_SCALARS = {str: _decode_str, int: _decode_int, float: _decode_float}
+
+
+def _codec(hint: object, rows_checked_by_model: bool = False) -> tuple:
+    """``(encoder, decoder)`` for one annotation; a ``None`` encoder
+    means the value is already its own JSON form."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint in _SCALARS:
+        return None, _SCALARS[hint]
+    if hint is object:
+        return _wire_value, _wire_value
+    if isinstance(hint, type) and issubclass(hint, WireModel):
+        return operator.methodcaller("to_json"), hint.from_json
+    if (
+        origin is types.UnionType
+        and len(args) == 2
+        and args[1] is type(None)
     ):
-        raise SchemaMismatchError(
-            f"{kind}.{name}: expected a string->integer object, "
-            f"got {value!r}"
+        encode, decode = _codec(args[0], rows_checked_by_model)
+        return (
+            None if encode is None
+            else lambda v: None if v is None else encode(v),
+            lambda v: None if v is None else decode(v),
         )
-    return dict(value)
+    if origin is dict and len(args) == 2 and args[0] is str:
+        encode, decode = _codec(args[1], rows_checked_by_model)
 
+        def decode_dict(value):
+            if not isinstance(value, dict):
+                raise _mismatch("an object", value)
+            decoded = {}
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise _mismatch("string keys", key)
+                decoded[key] = decode(item)
+            return decoded
 
-def _seconds_dict_field(kind: str, data: dict, name: str) -> dict[str, float]:
-    value = data.get(name, {})
-    if not isinstance(value, dict) or not all(
-        isinstance(k, str)
-        and isinstance(v, (int, float))
-        and not isinstance(v, bool)
-        for k, v in value.items()
-    ):
-        raise SchemaMismatchError(
-            f"{kind}.{name}: expected a string->number object, "
-            f"got {value!r}"
+        return (
+            dict if encode is None
+            else lambda v: {key: encode(item) for key, item in v.items()},
+            decode_dict,
         )
-    return {k: float(v) for k, v in value.items()}
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        encode, decode = _codec(args[0], rows_checked_by_model)
 
+        def decode_tuple(value):
+            if not isinstance(value, list):
+                raise _mismatch("a list", value)
+            return tuple([decode(item) for item in value])
 
-def _str_dict_field(kind: str, data: dict, name: str) -> dict[str, str]:
-    value = data.get(name, {})
-    if not isinstance(value, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
-    ):
-        raise SchemaMismatchError(
-            f"{kind}.{name}: expected a string->string object, got {value!r}"
+        return (
+            list if encode is None else lambda v: [encode(x) for x in v],
+            decode_tuple,
         )
-    return dict(value)
-
-
-def _reject_unknown(kind: str, data: dict, known: set[str]) -> None:
-    unknown = set(data) - known - {"kind", "schema"}
-    if unknown:
-        raise SchemaMismatchError(
-            f"{kind}: unknown field(s) {sorted(unknown)!r} — a schema "
-            "change must bump WIRE_SCHEMA_VERSION"
+    if origin is tuple and args and Ellipsis not in args:
+        length = len(args)
+        codecs = [_codec(arg) for arg in args]
+        # Rows the model checks itself are taken as sent, by shape only.
+        decoders = (
+            None if rows_checked_by_model else [dec for _, dec in codecs]
         )
+
+        def decode_fixed(value):
+            if not (isinstance(value, list) and len(value) == length):
+                raise _mismatch(f"a list of {length} entries", value)
+            if decoders is None:
+                return tuple(value)
+            return tuple([dec(x) for dec, x in zip(decoders, value)])
+
+        if rows_checked_by_model or not any(enc for enc, _ in codecs):
+            return list, decode_fixed
+        encoders = [enc or (lambda x: x) for enc, _ in codecs]
+        return (
+            lambda v: [enc(x) for enc, x in zip(encoders, v)],
+            decode_fixed,
+        )
+    raise TypeError(f"unsupported wire annotation {hint!r}")
+
+
+@dataclass_transform(frozen_default=True, field_specifiers=(field,))
+class WireModel:
+    """Base of every wire model: each subclass becomes a frozen
+    dataclass whose ``kind`` is its class name and whose
+    ``to_json``/``from_json`` are compiled from its field declarations
+    (see the module docstring for the annotation forms)."""
+
+    kind: ClassVar[str]
+    # (name, encoder or None, decoder) per field, in declaration order.
+    _wire_fields: ClassVar[tuple[tuple[str, Any, Any], ...]]
+    _wire_keys: ClassVar[frozenset[str]]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        dataclass(frozen=True)(cls)
+        cls.kind = cls.__name__
+        hints = get_type_hints(cls)
+        cls._wire_fields = tuple(
+            (f.name,
+             *_codec(hints[f.name], "rows_checked_by_model" in f.metadata))
+            for f in dataclasses.fields(cls)
+        )
+        cls._wire_keys = frozenset(
+            [name for name, _, _ in cls._wire_fields] + ["kind", "schema"]
+        )
+
+    def to_json(self) -> dict:
+        record = {"kind": self.kind, "schema": WIRE_SCHEMA_VERSION}
+        for name, encode, _ in self._wire_fields:
+            value = getattr(self, name)
+            record[name] = value if encode is None else encode(value)
+        return record
+
+    @classmethod
+    def from_json(cls, data: object) -> Self:
+        data = _check_header(cls.kind, data)
+        if data.keys() != cls._wire_keys:
+            unknown = sorted(data.keys() - cls._wire_keys)
+            if unknown:
+                raise SchemaMismatchError(
+                    f"{cls.kind}: unknown field(s) {unknown!r} — a schema "
+                    "change must bump WIRE_SCHEMA_VERSION"
+                )
+            raise SchemaMismatchError(
+                f"{cls.kind}: missing field(s) "
+                f"{sorted(cls._wire_keys - data.keys())!r}"
+            )
+        values = {}
+        for name, _, decode in cls._wire_fields:
+            try:
+                values[name] = decode(data[name])
+            except SchemaMismatchError as exc:
+                raise SchemaMismatchError(
+                    f"{cls.kind}.{name}: {exc.message}"
+                ) from None
+        return cls(**values)
 
 
 # ----------------------------------------------------------------------
 # Requests
 
 
-@dataclass(frozen=True)
-class InstallRequest:
+class InstallRequest(WireModel):
     """Install (or re-configure) one app in one tenant home.
 
     ``devices`` maps the app's device input names to *home device
@@ -190,8 +297,6 @@ class InstallRequest:
     are the user-entered input values.  ``source`` optionally carries
     custom SmartApp source for apps the shared backend has not
     extracted offline."""
-
-    kind: ClassVar[str] = "InstallRequest"
 
     home_id: str
     app_name: str
@@ -205,44 +310,11 @@ class InstallRequest:
         if not self.app_name:
             raise InvalidRequestError("InstallRequest.app_name is empty")
 
-    def to_json(self) -> dict:
-        return {
-            **_header(self.kind),
-            "home_id": self.home_id,
-            "app_name": self.app_name,
-            "devices": dict(self.devices),
-            "values": {k: _wire_value(v) for k, v in self.values.items()},
-            "source": self.source,
-        }
 
-    @classmethod
-    def from_json(cls, data: object) -> "InstallRequest":
-        data = _check_header(cls.kind, data)
-        _reject_unknown(
-            cls.kind, data,
-            {"home_id", "app_name", "devices", "values", "source"},
-        )
-        values = data.get("values", {})
-        if not isinstance(values, dict):
-            raise SchemaMismatchError(
-                f"{cls.kind}.values: expected an object, got {values!r}"
-            )
-        return cls(
-            home_id=_str_field(cls.kind, data, "home_id"),
-            app_name=_str_field(cls.kind, data, "app_name"),
-            devices=_str_dict_field(cls.kind, data, "devices"),
-            values={str(k): _wire_value(v) for k, v in values.items()},
-            source=_opt_str_field(cls.kind, data, "source"),
-        )
-
-
-@dataclass(frozen=True)
-class AuditRequest:
+class AuditRequest(WireModel):
     """Re-run detection over a home's already-installed apps (the
     paper's §VIII-D.3 backward-compatibility audit).  ``apps`` limits
     the replay to the named apps; ``None`` audits everything."""
-
-    kind: ClassVar[str] = "AuditRequest"
 
     home_id: str
     apps: tuple[str, ...] | None = None
@@ -262,37 +334,9 @@ class AuditRequest:
                 self, "apps", tuple(str(app) for app in self.apps)
             )
 
-    def to_json(self) -> dict:
-        return {
-            **_header(self.kind),
-            "home_id": self.home_id,
-            "apps": None if self.apps is None else list(self.apps),
-        }
 
-    @classmethod
-    def from_json(cls, data: object) -> "AuditRequest":
-        data = _check_header(cls.kind, data)
-        _reject_unknown(cls.kind, data, {"home_id", "apps"})
-        apps = data.get("apps")
-        if apps is not None and not (
-            isinstance(apps, list)
-            and all(isinstance(app, str) for app in apps)
-        ):
-            raise SchemaMismatchError(
-                f"{cls.kind}.apps: expected a string list or null, "
-                f"got {apps!r}"
-            )
-        return cls(
-            home_id=_str_field(cls.kind, data, "home_id"),
-            apps=None if apps is None else tuple(apps),
-        )
-
-
-@dataclass(frozen=True)
-class DecisionRequest:
+class DecisionRequest(WireModel):
     """The tenant's one-time decision for a pending install session."""
-
-    kind: ClassVar[str] = "DecisionRequest"
 
     home_id: str
     session_id: str
@@ -309,33 +353,12 @@ class DecisionRequest:
                 f"of {', '.join(DECISION_VERBS)}"
             )
 
-    def to_json(self) -> dict:
-        return {
-            **_header(self.kind),
-            "home_id": self.home_id,
-            "session_id": self.session_id,
-            "decision": self.decision,
-        }
-
-    @classmethod
-    def from_json(cls, data: object) -> "DecisionRequest":
-        data = _check_header(cls.kind, data)
-        _reject_unknown(
-            cls.kind, data, {"home_id", "session_id", "decision"}
-        )
-        return cls(
-            home_id=_str_field(cls.kind, data, "home_id"),
-            session_id=_str_field(cls.kind, data, "session_id"),
-            decision=_str_field(cls.kind, data, "decision"),
-        )
-
 
 # ----------------------------------------------------------------------
 # Responses
 
 
-@dataclass(frozen=True)
-class ThreatRecord:
+class ThreatRecord(WireModel):
     """One detected CAI threat, as wire data.
 
     The live :class:`~repro.detector.types.Threat` holds full
@@ -343,8 +366,6 @@ class ThreatRecord:
     their stable ids plus everything the front end renders — type,
     Table I category, witness situation, chain path and the
     human-readable explanation."""
-
-    kind: ClassVar[str] = "ThreatRecord"
 
     type: str
     category: str
@@ -375,75 +396,11 @@ class ThreatRecord:
             description=describe_threat(threat),
         )
 
-    def to_json(self) -> dict:
-        return {
-            **_header(self.kind),
-            "type": self.type,
-            "category": self.category,
-            "rule_a": self.rule_a,
-            "rule_b": self.rule_b,
-            "apps": list(self.apps),
-            "detail": self.detail,
-            "witness": [[key, value] for key, value in self.witness],
-            "chain": list(self.chain),
-            "description": self.description,
-        }
 
-    @classmethod
-    def from_json(cls, data: object) -> "ThreatRecord":
-        data = _check_header(cls.kind, data)
-        _reject_unknown(
-            cls.kind, data,
-            {"type", "category", "rule_a", "rule_b", "apps", "detail",
-             "witness", "chain", "description"},
-        )
-        apps = data.get("apps")
-        if not (
-            isinstance(apps, list)
-            and len(apps) == 2
-            and all(isinstance(app, str) for app in apps)
-        ):
-            raise SchemaMismatchError(
-                f"{cls.kind}.apps: expected two app names, got {apps!r}"
-            )
-        witness = data.get("witness", [])
-        try:
-            witness_pairs = tuple(
-                (str(key), _wire_value(value)) for key, value in witness
-            )
-        except (TypeError, ValueError):
-            raise SchemaMismatchError(
-                f"{cls.kind}.witness: expected [key, value] pairs, "
-                f"got {witness!r}"
-            ) from None
-        chain = data.get("chain", [])
-        if not (
-            isinstance(chain, list)
-            and all(isinstance(rule_id, str) for rule_id in chain)
-        ):
-            raise SchemaMismatchError(
-                f"{cls.kind}.chain: expected rule-id strings, got {chain!r}"
-            )
-        return cls(
-            type=_str_field(cls.kind, data, "type"),
-            category=_str_field(cls.kind, data, "category"),
-            rule_a=_str_field(cls.kind, data, "rule_a"),
-            rule_b=_str_field(cls.kind, data, "rule_b"),
-            apps=(apps[0], apps[1]),
-            detail=str(data.get("detail", "")),
-            witness=witness_pairs,
-            chain=tuple(chain),
-            description=str(data.get("description", "")),
-        )
-
-
-@dataclass(frozen=True)
-class ThreatReport:
+class ThreatReport(WireModel):
     """Everything detection found for one app in one home — the wire
     form of an installation review screen (rendered rules + pairwise
     threats + chained threats through the home's Allowed list)."""
-
-    kind: ClassVar[str] = "ThreatReport"
 
     home_id: str
     app_name: str
@@ -469,52 +426,8 @@ class ThreatReport:
             ),
         )
 
-    def to_json(self) -> dict:
-        return {
-            **_header(self.kind),
-            "home_id": self.home_id,
-            "app_name": self.app_name,
-            "rules": list(self.rules),
-            "threats": [record.to_json() for record in self.threats],
-            "chains": [record.to_json() for record in self.chains],
-        }
 
-    @classmethod
-    def from_json(cls, data: object) -> "ThreatReport":
-        data = _check_header(cls.kind, data)
-        _reject_unknown(
-            cls.kind, data,
-            {"home_id", "app_name", "rules", "threats", "chains"},
-        )
-        rules = data.get("rules", [])
-        if not (
-            isinstance(rules, list)
-            and all(isinstance(rule, str) for rule in rules)
-        ):
-            raise SchemaMismatchError(
-                f"{cls.kind}.rules: expected rendered-rule strings, "
-                f"got {rules!r}"
-            )
-
-        def records(name: str) -> tuple[ThreatRecord, ...]:
-            entries = data.get(name, [])
-            if not isinstance(entries, list):
-                raise SchemaMismatchError(
-                    f"{cls.kind}.{name}: expected a list, got {entries!r}"
-                )
-            return tuple(ThreatRecord.from_json(e) for e in entries)
-
-        return cls(
-            home_id=_str_field(cls.kind, data, "home_id"),
-            app_name=_str_field(cls.kind, data, "app_name"),
-            rules=tuple(rules),
-            threats=records("threats"),
-            chains=records("chains"),
-        )
-
-
-@dataclass(frozen=True)
-class InstallSession:
+class InstallSession(WireModel):
     """One install request's lifecycle: review shown -> one-time
     decision applied.
 
@@ -523,8 +436,6 @@ class InstallSession:
     user (the paper's interactive flow) and :data:`SESSION_DECIDED`
     once a decision landed; ``decided_by`` names the policy that
     decided automatically, or is ``None`` for a user decision."""
-
-    kind: ClassVar[str] = "InstallSession"
 
     session_id: str
     home_id: str
@@ -548,39 +459,8 @@ class InstallSession:
     def pending(self) -> bool:
         return self.status == SESSION_PENDING
 
-    def to_json(self) -> dict:
-        return {
-            **_header(self.kind),
-            "session_id": self.session_id,
-            "home_id": self.home_id,
-            "app_name": self.app_name,
-            "status": self.status,
-            "report": self.report.to_json(),
-            "decision": self.decision,
-            "decided_by": self.decided_by,
-        }
 
-    @classmethod
-    def from_json(cls, data: object) -> "InstallSession":
-        data = _check_header(cls.kind, data)
-        _reject_unknown(
-            cls.kind, data,
-            {"session_id", "home_id", "app_name", "status", "report",
-             "decision", "decided_by"},
-        )
-        return cls(
-            session_id=_str_field(cls.kind, data, "session_id"),
-            home_id=_str_field(cls.kind, data, "home_id"),
-            app_name=_str_field(cls.kind, data, "app_name"),
-            status=_str_field(cls.kind, data, "status"),
-            report=ThreatReport.from_json(data.get("report")),
-            decision=_opt_str_field(cls.kind, data, "decision"),
-            decided_by=_opt_str_field(cls.kind, data, "decided_by"),
-        )
-
-
-@dataclass(frozen=True)
-class MonitorEventRequest:
+class MonitorEventRequest(WireModel):
     """A batch of runtime events for one home's interference monitor
     (wire schema v6, DESIGN.md §16).
 
@@ -593,10 +473,10 @@ class MonitorEventRequest:
     the same content, which the server hashes when the id is empty)
     returns the original observations instead of double-counting."""
 
-    kind: ClassVar[str] = "MonitorEventRequest"
-
     home_id: str
-    events: tuple[tuple[str, str, object, float], ...] = ()
+    events: tuple[tuple[str, str, object, float], ...] = field(
+        default=(), metadata=ROWS_CHECKED_BY_MODEL
+    )
     batch_id: str = ""
 
     def __post_init__(self) -> None:
@@ -664,48 +544,8 @@ class MonitorEventRequest:
             for subject, attribute, value, timestamp in self.events
         ]
 
-    def to_json(self) -> dict:
-        return {
-            **_header(self.kind),
-            "home_id": self.home_id,
-            "events": [
-                [subject, attribute, value, timestamp]
-                for subject, attribute, value, timestamp in self.events
-            ],
-            "batch_id": self.batch_id,
-        }
 
-    @classmethod
-    def from_json(cls, data: object) -> "MonitorEventRequest":
-        data = _check_header(cls.kind, data)
-        _reject_unknown(cls.kind, data, {"home_id", "events", "batch_id"})
-        events = data.get("events", [])
-        if not isinstance(events, list):
-            raise SchemaMismatchError(
-                f"{cls.kind}.events: expected a list, got {events!r}"
-            )
-        decoded = []
-        for entry in events:
-            if not (isinstance(entry, list) and len(entry) == 4):
-                raise SchemaMismatchError(
-                    f"{cls.kind}.events: expected [subject, attribute, "
-                    f"value, timestamp] entries, got {entry!r}"
-                )
-            decoded.append(tuple(entry))
-        batch_id = data.get("batch_id", "")
-        if not isinstance(batch_id, str):
-            raise SchemaMismatchError(
-                f"{cls.kind}.batch_id: expected a string, got {batch_id!r}"
-            )
-        return cls(
-            home_id=_str_field(cls.kind, data, "home_id"),
-            events=tuple(decoded),
-            batch_id=batch_id,
-        )
-
-
-@dataclass(frozen=True)
-class ObservationRecord:
+class ObservationRecord(WireModel):
     """One deduplicated monitor observation, as wire data (wire schema
     v6, DESIGN.md §16) — the persisted evidence that a statically
     predicted threat fired (``outcome="confirmed"``), that its
@@ -717,9 +557,9 @@ class ObservationRecord:
     exactly-once dedup key); ``threat_key`` links confirmation
     observations back to their static threat; ``timestamp`` is event
     time, so replaying the same trace reproduces the record
-    byte-for-byte."""
-
-    kind: ClassVar[str] = "ObservationRecord"
+    byte-for-byte.  The fields mirror
+    :class:`~repro.monitor.engine.Observation` one for one, except
+    that the engine's ``kind`` is the wire ``outcome``."""
 
     key: str
     home_id: str
@@ -746,69 +586,22 @@ class ObservationRecord:
     def from_observation(cls, observation) -> "ObservationRecord":
         """Build from a :class:`~repro.monitor.engine.Observation`."""
         return cls(
-            key=observation.key,
-            home_id=observation.home_id,
-            rule=observation.rule,
             outcome=observation.kind,
-            subject=observation.subject,
-            threat_key=observation.threat_key,
-            detail=observation.detail,
-            timestamp=observation.timestamp,
-            window_seconds=observation.window_seconds,
+            **{name: getattr(observation, name)
+               for name, _, _ in cls._wire_fields if name != "outcome"},
         )
 
     def to_observation(self):
         from repro.monitor.engine import Observation
 
         return Observation(
-            key=self.key,
-            home_id=self.home_id,
-            rule=self.rule,
             kind=self.outcome,
-            subject=self.subject,
-            threat_key=self.threat_key,
-            detail=self.detail,
-            timestamp=self.timestamp,
-            window_seconds=self.window_seconds,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            **_header(self.kind),
-            "key": self.key,
-            "home_id": self.home_id,
-            "rule": self.rule,
-            "outcome": self.outcome,
-            "subject": self.subject,
-            "threat_key": self.threat_key,
-            "detail": self.detail,
-            "timestamp": self.timestamp,
-            "window_seconds": self.window_seconds,
-        }
-
-    @classmethod
-    def from_json(cls, data: object) -> "ObservationRecord":
-        data = _check_header(cls.kind, data)
-        _reject_unknown(
-            cls.kind, data,
-            {"key", "home_id", "rule", "outcome", "subject", "threat_key",
-             "detail", "timestamp", "window_seconds"},
-        )
-        return cls(
-            key=_str_field(cls.kind, data, "key"),
-            home_id=_str_field(cls.kind, data, "home_id"),
-            rule=_str_field(cls.kind, data, "rule"),
-            outcome=_str_field(cls.kind, data, "outcome"),
-            subject=_str_field(cls.kind, data, "subject"),
-            threat_key=str(data.get("threat_key", "")),
-            detail=str(data.get("detail", "")),
-            timestamp=_float_field(cls.kind, data, "timestamp"),
-            window_seconds=_float_field(cls.kind, data, "window_seconds"),
+            **{name: getattr(self, name)
+               for name, _, _ in self._wire_fields if name != "outcome"},
         )
 
 
-@dataclass(frozen=True)
-class DetectionStatsRecord:
+class DetectionStatsRecord(WireModel):
     """One home's cumulative solver/cache accounting, as wire data.
 
     Mirrors the counter fields of
@@ -825,9 +618,8 @@ class DetectionStatsRecord:
     events ingested, deduplicated observations, and their
     confirmed/contradicted/anomaly split (DESIGN.md §16) — a v6 one;
     peers on an older version reject the record instead of silently
-    dropping fields."""
-
-    kind: ClassVar[str] = "DetectionStatsRecord"
+    dropping fields.  Every field after ``home_id`` is a
+    ``DetectionStats`` attribute of the same name."""
 
     home_id: str
     solver_calls: int = 0
@@ -857,108 +649,15 @@ class DetectionStatsRecord:
     def from_stats(cls, home_id: str, stats) -> "DetectionStatsRecord":
         return cls(
             home_id=home_id,
-            solver_calls=stats.solver_calls,
-            cache_hits=stats.cache_hits,
-            shared_cache_hits=stats.shared_cache_hits,
-            shared_cache_publishes=stats.shared_cache_publishes,
-            pairs_examined=stats.pairs_examined,
-            prescreen_pruned_pairs=stats.prescreen_pruned_pairs,
-            planned_pairs=stats.planned_pairs,
-            store_bytes_written=stats.store_bytes_written,
-            store_commit_seconds=stats.store_commit_seconds,
-            tasks_retried=stats.tasks_retried,
-            chunks_requeued=stats.chunks_requeued,
-            pool_failures=stats.pool_failures,
-            degraded_serial=stats.degraded_serial,
-            monitor_events=stats.monitor_events,
-            monitor_observations=stats.monitor_observations,
-            threats_confirmed=stats.threats_confirmed,
-            threats_contradicted=stats.threats_contradicted,
-            anomalies_flagged=stats.anomalies_flagged,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            **_header(self.kind),
-            "home_id": self.home_id,
-            "solver_calls": self.solver_calls,
-            "cache_hits": self.cache_hits,
-            "shared_cache_hits": self.shared_cache_hits,
-            "shared_cache_publishes": self.shared_cache_publishes,
-            "pairs_examined": self.pairs_examined,
-            "prescreen_pruned_pairs": self.prescreen_pruned_pairs,
-            "planned_pairs": self.planned_pairs,
-            "store_bytes_written": self.store_bytes_written,
-            "store_commit_seconds": self.store_commit_seconds,
-            "tasks_retried": self.tasks_retried,
-            "chunks_requeued": self.chunks_requeued,
-            "pool_failures": self.pool_failures,
-            "degraded_serial": self.degraded_serial,
-            "monitor_events": self.monitor_events,
-            "monitor_observations": self.monitor_observations,
-            "threats_confirmed": self.threats_confirmed,
-            "threats_contradicted": self.threats_contradicted,
-            "anomalies_flagged": self.anomalies_flagged,
-        }
-
-    @classmethod
-    def from_json(cls, data: object) -> "DetectionStatsRecord":
-        data = _check_header(cls.kind, data)
-        _reject_unknown(
-            cls.kind, data,
-            {"home_id", "solver_calls", "cache_hits", "shared_cache_hits",
-             "shared_cache_publishes", "pairs_examined",
-             "prescreen_pruned_pairs", "planned_pairs",
-             "store_bytes_written", "store_commit_seconds",
-             "tasks_retried", "chunks_requeued", "pool_failures",
-             "degraded_serial", "monitor_events", "monitor_observations",
-             "threats_confirmed", "threats_contradicted",
-             "anomalies_flagged"},
-        )
-        return cls(
-            home_id=_str_field(cls.kind, data, "home_id"),
-            solver_calls=_int_field(cls.kind, data, "solver_calls"),
-            cache_hits=_int_field(cls.kind, data, "cache_hits"),
-            shared_cache_hits=_int_field(cls.kind, data, "shared_cache_hits"),
-            shared_cache_publishes=_int_field(
-                cls.kind, data, "shared_cache_publishes"
-            ),
-            pairs_examined=_int_field(cls.kind, data, "pairs_examined"),
-            prescreen_pruned_pairs=_int_field(
-                cls.kind, data, "prescreen_pruned_pairs"
-            ),
-            planned_pairs=_int_field(cls.kind, data, "planned_pairs"),
-            store_bytes_written=_int_field(
-                cls.kind, data, "store_bytes_written"
-            ),
-            store_commit_seconds=_float_field(
-                cls.kind, data, "store_commit_seconds"
-            ),
-            tasks_retried=_int_field(cls.kind, data, "tasks_retried"),
-            chunks_requeued=_int_field(cls.kind, data, "chunks_requeued"),
-            pool_failures=_int_field(cls.kind, data, "pool_failures"),
-            degraded_serial=_int_field(cls.kind, data, "degraded_serial"),
-            monitor_events=_int_field(cls.kind, data, "monitor_events"),
-            monitor_observations=_int_field(
-                cls.kind, data, "monitor_observations"
-            ),
-            threats_confirmed=_int_field(
-                cls.kind, data, "threats_confirmed"
-            ),
-            threats_contradicted=_int_field(
-                cls.kind, data, "threats_contradicted"
-            ),
-            anomalies_flagged=_int_field(
-                cls.kind, data, "anomalies_flagged"
-            ),
+            **{name: getattr(stats, name)
+               for name, _, _ in cls._wire_fields if name != "home_id"},
         )
 
 
 SERVER_STATES = ("serving", "draining", "closed")
 
 
-@dataclass(frozen=True)
-class ServerStatusRecord:
+class ServerStatusRecord(WireModel):
     """One fleet server's health/accounting snapshot, as wire data
     (DESIGN.md §13) — what the transport's ``status`` RPC returns.
 
@@ -990,8 +689,6 @@ class ServerStatusRecord:
     ingestion totals across every home — like the dispatcher recovery
     totals, they survive tenant-home eviction."""
 
-    kind: ClassVar[str] = "ServerStatusRecord"
-
     state: str
     homes: int = 0
     homes_resident: int = 0
@@ -1018,92 +715,6 @@ class ServerStatusRecord:
                 f"unknown server state {self.state!r}; expected one of "
                 f"{', '.join(SERVER_STATES)}"
             )
-
-    def to_json(self) -> dict:
-        return {
-            **_header(self.kind),
-            "state": self.state,
-            "homes": self.homes,
-            "homes_resident": self.homes_resident,
-            "requests_total": self.requests_total,
-            "requests_inflight": self.requests_inflight,
-            "quota_rejections": self.quota_rejections,
-            "admission_rejections": self.admission_rejections,
-            "drain_rejections": self.drain_rejections,
-            "errors_total": self.errors_total,
-            "internal_errors": self.internal_errors,
-            "phase_seconds": dict(self.phase_seconds),
-            "phase_counts": dict(self.phase_counts),
-            "tenants": {
-                home_id: dict(counters)
-                for home_id, counters in self.tenants.items()
-            },
-            "breaker_states": dict(self.breaker_states),
-            "tasks_retried": self.tasks_retried,
-            "degraded_serial": self.degraded_serial,
-            "deadline_rejections": self.deadline_rejections,
-            "monitor_events": self.monitor_events,
-            "monitor_observations": self.monitor_observations,
-        }
-
-    @classmethod
-    def from_json(cls, data: object) -> "ServerStatusRecord":
-        data = _check_header(cls.kind, data)
-        _reject_unknown(
-            cls.kind, data,
-            {"state", "homes", "homes_resident", "requests_total",
-             "requests_inflight", "quota_rejections",
-             "admission_rejections", "drain_rejections", "errors_total",
-             "internal_errors", "phase_seconds", "phase_counts",
-             "tenants", "breaker_states", "tasks_retried",
-             "degraded_serial", "deadline_rejections", "monitor_events",
-             "monitor_observations"},
-        )
-        tenants = data.get("tenants", {})
-        if not isinstance(tenants, dict) or not all(
-            isinstance(home_id, str) for home_id in tenants
-        ):
-            raise SchemaMismatchError(
-                f"{cls.kind}.tenants: expected a home->counters object, "
-                f"got {tenants!r}"
-            )
-        decoded_tenants = {
-            home_id: _count_dict_field(
-                cls.kind, {"tenants": counters}, "tenants"
-            )
-            for home_id, counters in tenants.items()
-        }
-        return cls(
-            state=_str_field(cls.kind, data, "state"),
-            homes=_int_field(cls.kind, data, "homes"),
-            homes_resident=_int_field(cls.kind, data, "homes_resident"),
-            requests_total=_int_field(cls.kind, data, "requests_total"),
-            requests_inflight=_int_field(
-                cls.kind, data, "requests_inflight"
-            ),
-            quota_rejections=_int_field(cls.kind, data, "quota_rejections"),
-            admission_rejections=_int_field(
-                cls.kind, data, "admission_rejections"
-            ),
-            drain_rejections=_int_field(cls.kind, data, "drain_rejections"),
-            errors_total=_int_field(cls.kind, data, "errors_total"),
-            internal_errors=_int_field(cls.kind, data, "internal_errors"),
-            phase_seconds=_seconds_dict_field(
-                cls.kind, data, "phase_seconds"
-            ),
-            phase_counts=_count_dict_field(cls.kind, data, "phase_counts"),
-            tenants=decoded_tenants,
-            breaker_states=_str_dict_field(cls.kind, data, "breaker_states"),
-            tasks_retried=_int_field(cls.kind, data, "tasks_retried"),
-            degraded_serial=_int_field(cls.kind, data, "degraded_serial"),
-            deadline_rejections=_int_field(
-                cls.kind, data, "deadline_rejections"
-            ),
-            monitor_events=_int_field(cls.kind, data, "monitor_events"),
-            monitor_observations=_int_field(
-                cls.kind, data, "monitor_observations"
-            ),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -616,13 +616,13 @@ class FleetServer:
             fault_hook("transport.write", bytes=len(payload))
             writer.write(payload)
             await writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass  # client went away; accounting already happened
         except Exception:
-            # An injected (or genuinely broken) write: close the
-            # connection so the client sees a fast reset — a half-sent
-            # response would desynchronise its HTTP framing, turning
-            # one lost response into a poisoned keep-alive stream.
+            # The client went away, or an injected (or genuinely
+            # broken) write: close the connection so the client sees a
+            # fast reset instead of waiting out its read timeout — a
+            # half-sent response would desynchronise its HTTP framing,
+            # turning one lost response into a poisoned keep-alive
+            # stream.  Accounting already happened.
             try:
                 writer.close()
             except Exception:

@@ -2,9 +2,10 @@
 
 Every request/response dataclass must JSON-round-trip loss-free with
 its schema version stamped, decode strictly (unknown fields, missing
-fields and version mismatches are errors, never guesses), and match
-the committed ``schema_manifest.json`` — the schema-stability gate CI
-runs via ``make schema-check``.
+fields, values of the wrong JSON type and version mismatches are
+errors, never guesses), and match the committed
+``schema_manifest.json`` — the schema-stability gate CI runs via
+``make schema-check``.
 """
 
 import dataclasses
@@ -33,6 +34,7 @@ from repro.service import (
 from repro.service.errors import ERROR_CODES
 from repro.service.schemas import (
     WIRE_MODELS,
+    WireModel,
     check_manifest,
     manifest_path,
     schema_manifest,
@@ -195,6 +197,108 @@ def test_decode_rejects_wrong_kind_and_shapes():
     del bad["home_id"]
     with pytest.raises(SchemaMismatchError):
         InstallRequest.from_json(bad)
+
+
+# ----------------------------------------------------------------------
+# Decode strictness over every model: each declared field is required
+# and typed, and no unknown field gets through.
+
+# One sample per model (the last one listed in SAMPLES).
+REPRESENTATIVE = {type(sample).kind: sample for sample in SAMPLES}
+FIELD_CASES = [
+    (kind, f.name)
+    for kind, cls in sorted(WIRE_MODELS.items())
+    for f in dataclasses.fields(cls)
+]
+FIELD_IDS = [f"{kind}.{name}" for kind, name in FIELD_CASES]
+
+
+def wrong_json_type(value):
+    """A JSON value of a type the field's encoded ``value`` excludes."""
+    if isinstance(value, str):
+        return 7
+    if isinstance(value, (int, float)):
+        return "7"
+    if isinstance(value, list):
+        return "x"
+    if isinstance(value, dict):
+        return ["x"]
+    return 7  # null in an optional field
+
+
+def test_samples_cover_every_wire_model():
+    assert set(REPRESENTATIVE) == set(WIRE_MODELS)
+
+
+@pytest.mark.parametrize("kind,name", FIELD_CASES, ids=FIELD_IDS)
+def test_decode_requires_every_field(kind, name):
+    encoded = REPRESENTATIVE[kind].to_json()
+    del encoded[name]
+    with pytest.raises(SchemaMismatchError, match="missing field"):
+        WIRE_MODELS[kind].from_json(encoded)
+
+
+@pytest.mark.parametrize("kind,name", FIELD_CASES, ids=FIELD_IDS)
+def test_decode_rejects_a_wrong_json_type_in_every_field(kind, name):
+    encoded = REPRESENTATIVE[kind].to_json()
+    encoded[name] = wrong_json_type(encoded[name])
+    with pytest.raises(SchemaMismatchError, match=f"{kind}.{name}"):
+        WIRE_MODELS[kind].from_json(encoded)
+
+
+@pytest.mark.parametrize("kind", sorted(WIRE_MODELS))
+def test_decode_rejects_an_unknown_field_in_every_model(kind):
+    encoded = REPRESENTATIVE[kind].to_json()
+    encoded["surprise"] = None
+    with pytest.raises(SchemaMismatchError, match="unknown field"):
+        WIRE_MODELS[kind].from_json(encoded)
+
+
+# Malformed values inside a field.  The first six were silently coerced
+# by the hand-written decoders the derived codec replaced.
+MALFORMED_VALUES = [
+    ("ThreatRecord", "witness", ["ab"], SchemaMismatchError),
+    ("ThreatRecord", "witness", {"xy": 1}, SchemaMismatchError),
+    ("ThreatRecord", "witness", [[1, 2]], SchemaMismatchError),
+    ("ThreatRecord", "description", None, SchemaMismatchError),
+    ("ObservationRecord", "threat_key", 7, SchemaMismatchError),
+    ("ThreatRecord", "detail", [1], SchemaMismatchError),
+    ("ThreatRecord", "apps", ["A", "B", "C"], SchemaMismatchError),
+    ("ThreatReport", "threats", [{"kind": "ThreatRecord", "schema": 6}],
+     SchemaMismatchError),
+    ("DetectionStatsRecord", "solver_calls", True, SchemaMismatchError),
+    ("ServerStatusRecord", "tenants", {"h1": {"requests": 1.5}},
+     SchemaMismatchError),
+    ("InstallRequest", "devices", {"tv1": 7}, SchemaMismatchError),
+    ("AuditRequest", "apps", ["ComfortTV", 7], SchemaMismatchError),
+    # Event rows are checked for shape by the codec and for values by
+    # MonitorEventRequest.__post_init__ (one pass over the batch).
+    ("MonitorEventRequest", "events", [["d1", "switch", "on"]],
+     SchemaMismatchError),
+    ("MonitorEventRequest", "events", [[7, "switch", "on", 1.0]],
+     InvalidRequestError),
+    ("MonitorEventRequest", "events", [["d1", "switch", "on", "noon"]],
+     InvalidRequestError),
+    ("DecisionRequest", "decision", "maybe", InvalidRequestError),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,name,value,error", MALFORMED_VALUES,
+    ids=[f"{kind}.{name}={value!r}"
+         for kind, name, value, _ in MALFORMED_VALUES],
+)
+def test_decode_rejects_malformed_values(kind, name, value, error):
+    encoded = REPRESENTATIVE[kind].to_json()
+    encoded[name] = value
+    with pytest.raises(error):
+        WIRE_MODELS[kind].from_json(encoded)
+
+
+def test_unsupported_annotation_fails_when_the_model_is_defined():
+    with pytest.raises(TypeError, match="unsupported wire annotation"):
+        class ListModel(WireModel):
+            names: list[str]
 
 
 def test_invalid_field_values_fail_at_construction():
