@@ -100,13 +100,16 @@ serve-smoke:
 # end, so the quickstart instructions can't rot.  store_audit also
 # asserts the warm-start replay does zero solver calls (DESIGN.md §8);
 # install_flow drives the HomeGuardService wire API (sessions,
-# decisions, policies, JSON round-trip) through the messaging path.
+# decisions, policies, JSON round-trip) through the messaging path;
+# ifttt_rules renders reviews through repro.frontend.
 docs-check:
 	$(PYTHON) examples/quickstart.py > /dev/null
 	$(PYTHON) examples/store_audit.py > /dev/null
 	$(PYTHON) examples/install_flow.py > /dev/null
 	$(PYTHON) examples/serve_fleet.py > /dev/null
 	$(PYTHON) examples/monitor_live.py > /dev/null
+	$(PYTHON) examples/ifttt_rules.py > /dev/null
+	$(PYTHON) examples/exploitation_demo.py > /dev/null
 	@echo "docs-check: README example scripts ran clean"
 
 # Byte-compile everything as a cheap syntax/import lint (no external

@@ -13,10 +13,11 @@ Public API highlights
   :class:`~repro.service.InstallSession`,
   :class:`~repro.service.ThreatReport`, the
   :class:`~repro.service.ServiceError` taxonomy) and pluggable
-  threat-handling policies (DESIGN.md §11),
-* :class:`repro.HomeGuard` — single-home deployment facade, now a
-  compatibility shim over the service (offline rule extraction +
-  online installation-time detection),
+  threat-handling policies (DESIGN.md §11); each tenant home is a
+  :class:`repro.service.home.TenantHome`, the paper's companion app
+  (§VII-B),
+* :mod:`repro.frontend` — the review screen and threat interpreter
+  (paper Fig. 7b),
 * :func:`repro.rules.extract_rules` — symbolic-execution rule extraction
   for one SmartApp,
 * :class:`repro.detector.DetectionEngine` — pairwise CAI detection
@@ -33,8 +34,6 @@ Public API highlights
 * :mod:`repro.corpus` — the 205-app evaluation corpus.
 """
 
-from repro.homeguard import HomeGuard, InstalledDevice
-from repro.frontend.app import InstallDecision, InstallReview
 from repro.service import (
     AuditRequest,
     DecisionRequest,
@@ -44,13 +43,13 @@ from repro.service import (
     ServiceError,
     ThreatReport,
 )
+from repro.service.home import InstallDecision, InstalledDevice, InstallReview
 
-__version__ = "2.4.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AuditRequest",
     "DecisionRequest",
-    "HomeGuard",
     "HomeGuardService",
     "InstallDecision",
     "InstallRequest",

@@ -36,7 +36,7 @@ one shareable WAL-mode database file instead).
 and ``frontend`` is an opaque blob the companion app uses for its
 configuration recorder, Allowed list and review/decision history (past
 install screens and the user's keep/delete choices re-render after a
-warm restart; see :meth:`repro.frontend.app.HomeGuardApp.save_store`).
+warm restart; see :meth:`repro.service.home.TenantHome.save_store`).
 
 Each shard file carries one environment's slice of the detection state:
 the serialized rulesets (loss-free, via :mod:`repro.rules

@@ -7,11 +7,10 @@ lets the user keep the app, reconfigure it, or delete it.
 """
 
 from repro.frontend.threat_interpreter import describe_threat
-from repro.frontend.app import HomeGuardApp, InstallDecision, InstallReview
 from repro.frontend.ui import render_review
+from repro.service.home import InstallDecision, InstallReview
 
 __all__ = [
-    "HomeGuardApp",
     "InstallDecision",
     "InstallReview",
     "describe_threat",

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.frontend.app import InstallReview
 from repro.frontend.threat_interpreter import describe_threat
+from repro.service.home import InstallReview
 
 _WIDTH = 72
 

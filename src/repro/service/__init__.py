@@ -21,9 +21,6 @@ stdlib-only HTTP + JSON-RPC server — with per-tenant quotas, admission
 control and weighted-fair scheduling — in front of one service;
 ``FleetClient`` / ``AsyncFleetClient`` speak the same wire records and
 raise the same typed errors across the socket.
-
-``repro.HomeGuard`` and ``repro.frontend.app.HomeGuardApp`` remain as
-backward-compatible shims over a single-home service.
 """
 
 from repro.service.errors import (

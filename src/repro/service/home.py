@@ -1,20 +1,16 @@
 """Per-tenant home state — the companion-app core (paper §VII-B).
 
-This module is the canonical implementation of what used to live in
-``repro.frontend.app.HomeGuardApp`` and the ``repro.homeguard
-.HomeGuard`` facade: one home's configuration/rule recorders, its
+:class:`TenantHome` holds one home's configuration/rule recorders, its
 incremental detection pipeline, the Allowed list, the review/decision
 history, the registered home devices, and the save-on-commit /
 load-on-startup persistence.  :class:`~repro.service.service
 .HomeGuardService` manages N of these over one shared backend
-extractor and one shared solver dispatcher; the legacy ``HomeGuardApp``
-and ``HomeGuard`` classes are thin, deprecation-warned shims over a
-single-home service (DESIGN.md §11).
+extractor and one shared solver dispatcher (DESIGN.md §11).
 
-Behavior is bit-for-bit the pre-service flow: reviews, threats, solve
-caches and persisted store bytes are identical whether a home is
-driven through the service API or through the legacy shims — the
-equivalence gate in ``tests/test_service_equivalence.py`` enforces it.
+Reviews agree with the brute-force all-pairs detector, and the
+configuration-URI path (paper §IV-C) persists byte-identically to the
+typed install path — ``tests/test_service_equivalence.py`` enforces
+both.
 """
 
 from __future__ import annotations
@@ -238,20 +234,11 @@ class TenantHome:
     # Message intake
 
     def receive_message(self, record: MessageRecord) -> None:
-        """Transport callback: decode the URI and queue the payload (the
-        user then "clicks the notification" via :meth:`review_pending`)."""
+        """Transport callback: decode the URI and queue the payload; the
+        user then "clicks the notification" via
+        :meth:`~repro.service.service.HomeGuardService.review_pending`."""
         payload = decode_uri(record.uri)
         self._pending.append(payload)
-
-    def review_pending(
-        self, device_types: dict[str, str] | None = None
-    ) -> list[InstallReview]:
-        """Process queued payloads into installation reviews."""
-        reviews = []
-        while self._pending:
-            payload = self._pending.pop(0)
-            reviews.append(self.review_installation(payload, device_types))
-        return reviews
 
     # ------------------------------------------------------------------
     # Detection flow
@@ -344,9 +331,6 @@ class TenantHome:
 
     def installed_apps(self) -> list[str]:
         return sorted(self.rule_recorder.rulesets)
-
-    def ruleset_of(self, app_name: str) -> RuleSet | None:
-        return self.rule_recorder.rules_of(app_name)
 
     # ------------------------------------------------------------------
     # Backward-compatibility audit (paper §VIII-D.3)
@@ -568,9 +552,8 @@ class TenantHome:
 
     def _review_entry(self, review: InstallReview) -> dict:
         """One review as its persisted frontend-blob entry.  The
-        ``decided_by`` key appears only for policy-decided reviews, so
-        interactive homes persist byte-identical blobs to the
-        pre-service flow."""
+        ``decided_by`` key appears only for policy-decided reviews (a
+        user decision carries no provenance)."""
         entry = {
             "app": review.app_name,
             "rules": list(review.rules),

@@ -9,7 +9,7 @@ kiosk deployments keep everything below a severity line, and so on
 
 A :class:`HandlingPolicy` decides what happens right after detection:
 
-* return an :class:`~repro.frontend.app.InstallDecision` to handle the
+* return an :class:`~repro.service.home.InstallDecision` to handle the
   threat automatically (the verdict is applied immediately and the
   install session completes as ``decided`` with ``decided_by`` set to
   the policy's name — that provenance persists in the store's frontend
@@ -83,8 +83,7 @@ class InteractivePolicy(HandlingPolicy):
     Every session stays pending until a
     :class:`~repro.service.schemas.DecisionRequest` arrives; applied
     decisions carry ``decided_by=None``, so the persisted review
-    history is byte-identical to the pre-service ``HomeGuardApp``
-    flow.  This is the default policy."""
+    history has no policy provenance.  This is the default policy."""
 
     name = "interactive"
 

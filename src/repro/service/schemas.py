@@ -79,7 +79,7 @@ from repro.service.errors import (
 )
 
 # The three one-time decision verbs of paper §VIII-D.1, as wire text
-# (mirrors repro.frontend.app.InstallDecision values).
+# (mirrors repro.service.home.InstallDecision values).
 DECISION_VERBS = ("keep", "reconfigure", "delete")
 
 # Monitor observation outcomes (DESIGN.md §16), as wire text (mirrors
@@ -292,8 +292,8 @@ class InstallRequest(WireModel):
 
     ``devices`` maps the app's device input names to *home device
     labels* (registered via ``register_device``) or bare device type
-    names (a device of that type is auto-registered on first use —
-    the same semantics the ``HomeGuard`` facade always had); ``values``
+    names (a device of that type is auto-registered on first use, see
+    :meth:`~repro.service.home.TenantHome.bind_inputs`); ``values``
     are the user-entered input values.  ``source`` optionally carries
     custom SmartApp source for apps the shared backend has not
     extracted offline."""

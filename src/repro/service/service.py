@@ -18,10 +18,6 @@ default :class:`~repro.service.policies.InteractivePolicy` reproduces
 the paper's one-time user decision, while ``AutoDenyPolicy`` /
 ``SeverityThresholdPolicy`` / ``ChainedPolicy`` handle threats without
 a human in the loop.
-
-The legacy ``HomeGuard`` / ``HomeGuardApp`` classes are shims over a
-single-home service; results (threats, caches, store bytes) are
-identical on either surface.
 """
 
 from __future__ import annotations

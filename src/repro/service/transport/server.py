@@ -40,7 +40,7 @@ Around the raw socket layer sits the fleet-serving machinery:
 
 :func:`serve_background` runs a server on a dedicated event-loop
 thread and hands back a blocking handle — what synchronous tests,
-examples and the legacy-equivalence gate use.
+examples and the service-equivalence gate use.
 """
 
 from __future__ import annotations

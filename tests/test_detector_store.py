@@ -18,6 +18,7 @@ The invariants under test:
 import json
 from dataclasses import dataclass, field, replace
 
+from homes import HOME, install, new_home
 from repro.corpus import device_controlling_apps
 from repro.detector import (
     DetectionPipeline,
@@ -28,6 +29,7 @@ from repro.detector import (
 from repro.detector.store import SCHEMA_VERSION, _pinned_inputs
 from repro.rules.extractor import RuleExtractor
 from repro.rules.model import RuleSet
+from repro.service import InstallDecision
 
 ZONE_SIZE = 4
 STORE_SIZE = 24
@@ -368,61 +370,46 @@ def test_index_payload_roundtrip_is_lossless():
 # ----------------------------------------------------------------------
 # Companion-app wiring (save-on-commit / load-on-startup)
 
+LIVING_ROOM = [("Living-room TV", "tv"), ("Hall sensor", "temperatureSensor"),
+               ("Back window", "windowOpener")]
+LIVING_ROOM_COMFORT_TV = dict(
+    devices={"tv1": "Living-room TV", "tSensor": "Hall sensor",
+             "window1": "Back window"},
+    values={"threshold1": 30},
+)
+
 
 def test_homeguard_store_roundtrip(tmp_path):
-    from repro import HomeGuard
-    from repro.corpus import app_by_name
-
     store_path = tmp_path / "home-store"
-    hg = HomeGuard(transport="http", store_path=str(store_path))
-    hg.register_device("Living-room TV", "tv")
-    hg.register_device("Hall sensor", "temperatureSensor")
-    hg.register_device("Back window", "windowOpener")
-    hg.install(
-        app_by_name("ComfortTV"),
-        devices={"tv1": "Living-room TV", "tSensor": "Hall sensor",
-                 "window1": "Back window"},
-        values={"threshold1": 30},
-    )
-    hg.install(
-        app_by_name("ColdDefender"),
-        devices={"tv2": "Living-room TV", "window2": "Back window"},
-        values={"weather": "rainy"},
-    )
-    cold_audit = hg.audit_existing()
+    service = new_home(LIVING_ROOM, store_path=store_path)
+    install(service, "ComfortTV", **LIVING_ROOM_COMFORT_TV)
+    install(service, "ColdDefender",
+            devices={"tv2": "Living-room TV", "window2": "Back window"},
+            values={"weather": "rainy"})
+    cold_audit = service.home(HOME).audit_existing()
 
     # A fresh deployment (new process) warm-starts from the snapshot:
     # same installed apps, same audit verdicts, zero solver calls.
-    hg2 = HomeGuard(transport="http", store_path=str(store_path))
-    restored = hg2.restore()
-    assert sorted(restored) == sorted(hg.installed_apps())
-    assert hg2.installed_apps() == hg.installed_apps()
-    assert hg2.detection_stats.solver_calls == 0
-    warm_audit = hg2.audit_existing()
+    service2 = new_home(store_path=store_path)
+    restored = service2.restore(HOME)
+    assert sorted(restored) == sorted(service.installed_apps(HOME))
+    assert service2.installed_apps(HOME) == service.installed_apps(HOME)
+    assert service2.detection_stats(HOME).solver_calls == 0
+    warm_audit = service2.home(HOME).audit_existing()
     assert _detailed(warm_audit) == _detailed(cold_audit)
-    assert hg2.detection_stats.solver_calls == 0
+    assert service2.detection_stats(HOME).solver_calls == 0
 
     # And the restored deployment keeps working: a further install
     # reviews against the restored history.
-    review = hg2.install(
-        app_by_name("ComfortTV"),
-        devices={"tv1": "Living-room TV", "tSensor": "Hall sensor",
-                 "window1": "Back window"},
-        values={"threshold1": 30},
-    )
+    review = install(service2, "ComfortTV", **LIVING_ROOM_COMFORT_TV)
     assert review.threats  # conflicts with ColdDefender, as in session 1
 
 
 def test_homeguard_restore_without_store_is_noop(tmp_path):
-    from repro import HomeGuard
-
-    hg = HomeGuard(transport="http")
-    assert hg.restore() == []
-    hg2 = HomeGuard(
-        transport="http", store_path=str(tmp_path / "never-written")
-    )
-    assert hg2.restore() == []
-    assert hg2.installed_apps() == []
+    assert new_home().restore(HOME) == []
+    service = new_home(store_path=tmp_path / "never-written")
+    assert service.restore(HOME) == []
+    assert service.installed_apps(HOME) == []
 
 
 def test_structurally_malformed_shard_never_crashes(tmp_path):
@@ -459,27 +446,17 @@ def test_decide_keep_after_warm_start_without_backend(tmp_path):
     """Re-reviewing + KEEPing an app in a warm-started process whose
     backend never re-extracted must not crash (code-review fix):
     decide() falls back to the recorded rules like review does."""
-    from repro import HomeGuard, InstallDecision
-    from repro.corpus import app_by_name
-
     store_path = tmp_path / "store"
-    hg = HomeGuard(transport="http", store_path=str(store_path))
-    hg.register_device("Living-room TV", "tv")
-    hg.register_device("Hall sensor", "temperatureSensor")
-    hg.register_device("Back window", "windowOpener")
-    hg.install(
-        app_by_name("ComfortTV"),
-        devices={"tv1": "Living-room TV", "tSensor": "Hall sensor",
-                 "window1": "Back window"},
-        values={"threshold1": 30},
-    )
+    service = new_home(LIVING_ROOM, store_path=store_path)
+    install(service, "ComfortTV", **LIVING_ROOM_COMFORT_TV)
 
-    hg2 = HomeGuard(transport="http", store_path=str(store_path))
-    hg2.restore()
-    payload = hg2.app.config_recorder.config_of("ComfortTV")
-    review = hg2.app.review_installation(payload)
-    hg2.app.decide(review, InstallDecision.KEEP)  # used to AssertionError
-    assert hg2.installed_apps() == ["ComfortTV"]
+    service2 = new_home(store_path=store_path)
+    service2.restore(HOME)
+    home = service2.home(HOME)
+    payload = home.config_recorder.config_of("ComfortTV")
+    review = home.review_installation(payload)
+    home.decide(review, InstallDecision.KEEP)  # used to AssertionError
+    assert service2.installed_apps(HOME) == ["ComfortTV"]
 
 
 def test_save_is_generational_and_cleans_orphans(tmp_path):
@@ -517,43 +494,33 @@ def _review_facts(review):
 def test_review_decision_history_survives_warm_restart(tmp_path):
     """Past install screens — including the user's keep/delete choices
     and the threat evidence shown — must re-render after a restart."""
-    from repro import HomeGuard, InstallDecision
-    from repro.corpus import app_by_name
-
     store_path = tmp_path / "reviews-store"
-    hg = HomeGuard(transport="http", store_path=str(store_path))
-    hg.register_device("Living-room TV", "tv")
-    hg.register_device("Hall sensor", "temperatureSensor")
-    hg.register_device("Back window", "windowOpener")
-    hg.register_device("Kitchen speaker", "speaker")
-    hg.install(
-        app_by_name("ComfortTV"),
-        devices={"tv1": "Living-room TV", "tSensor": "Hall sensor",
-                 "window1": "Back window"},
-        values={"threshold1": 30},
-    )
-    kept = hg.install(
-        app_by_name("ColdDefender"),
+    service = new_home([*LIVING_ROOM, ("Kitchen speaker", "speaker")],
+                       store_path=store_path)
+    install(service, "ComfortTV", **LIVING_ROOM_COMFORT_TV)
+    kept = install(
+        service, "ColdDefender",
         devices={"tv2": "Living-room TV", "window2": "Back window"},
         values={"weather": "rainy"},
     )
     assert kept.threats and kept.decision == "keep"
-    deleted = hg.install(
-        app_by_name("CatchLiveShow"),
+    deleted = install(
+        service, "CatchLiveShow",
         devices={"voice": "Kitchen speaker", "tv3": "Living-room TV"},
         values={"showDay": "Thursday"},
-        decision=InstallDecision.DELETE,
+        decision="delete",
     )
     assert deleted.decision == "delete"
 
-    hg2 = HomeGuard(transport="http", store_path=str(store_path))
-    hg2.restore()
-    restored = hg2.app.reviews
-    assert len(restored) == len(hg.app.reviews)
+    service2 = new_home(store_path=store_path)
+    service2.restore(HOME)
+    original = service.home(HOME).reviews
+    restored = service2.home(HOME).reviews
+    assert len(restored) == len(original)
     # Reviews of still-installed apps restore loss-free: decisions,
     # rendered rules, threat types/pairs/details/witnesses.
-    assert _review_facts(restored[0]) == _review_facts(hg.app.reviews[0])
-    assert _review_facts(restored[1]) == _review_facts(hg.app.reviews[1])
+    assert _review_facts(restored[0]) == _review_facts(original[0])
+    assert _review_facts(restored[1]) == _review_facts(original[1])
     # The deleted app's rules were forgotten, so its threats cannot be
     # reconstructed — but the decision record itself survives.
     assert restored[2].app_name == "CatchLiveShow"
@@ -569,34 +536,32 @@ def test_review_decision_history_survives_warm_restart(tmp_path):
     ]
     assert accepted == [
         (t.rule_a.rule_id, t.rule_b.rule_id)
-        for t in hg2.app.allowed.pairs
+        for t in service2.home(HOME).allowed.pairs
     ]
 
 
 def test_chained_threat_reviews_restore_with_chains(tmp_path):
-    from repro import HomeGuard
-    from repro.corpus import app_by_name
-
     store_path = tmp_path / "chain-store"
-    hg = HomeGuard(transport="http", store_path=str(store_path))
-    hg.register_device("Wall switch", "switch")
-    hg.register_device("Front lock", "doorLock")
-    hg.register_device("Hall motion", "motionSensor")
-    hg.install(app_by_name("SwitchChangesMode"),
-               devices={"master": "Wall switch"},
-               values={"onMode": "Home", "offMode": "Away"})
-    hg.install(app_by_name("MakeItSo"),
-               devices={"switches": "Wall switch", "locks": "Front lock"},
-               values={"targetMode": "Home", "heatSetpoint": 70})
-    review = hg.install(app_by_name("CurlingIron"),
-                        devices={"motion1": "Hall motion",
-                                 "outlets": "Wall switch"},
-                        values={"minutesLater": 30})
+    service = new_home([("Wall switch", "switch"), ("Front lock", "doorLock"),
+                        ("Hall motion", "motionSensor")],
+                       store_path=store_path)
+    install(service, "SwitchChangesMode",
+            devices={"master": "Wall switch"},
+            values={"onMode": "Home", "offMode": "Away"})
+    install(service, "MakeItSo",
+            devices={"switches": "Wall switch", "locks": "Front lock"},
+            values={"targetMode": "Home", "heatSetpoint": 70})
+    review = install(service, "CurlingIron",
+                     devices={"motion1": "Hall motion",
+                              "outlets": "Wall switch"},
+                     values={"minutesLater": 30})
     assert review.chains
 
-    hg2 = HomeGuard(transport="http", store_path=str(store_path))
-    hg2.restore()
-    restored = hg2.app.reviews[len(hg.app.reviews) - 1]
+    service2 = new_home(store_path=store_path)
+    service2.restore(HOME)
+    restored = service2.home(HOME).reviews[
+        len(service.home(HOME).reviews) - 1
+    ]
     assert restored.app_name == "CurlingIron"
     assert [
         tuple(rule.rule_id for rule in chain.chain)
@@ -608,20 +573,9 @@ def test_chained_threat_reviews_restore_with_chains(tmp_path):
 
 
 def test_malformed_review_entries_degrade_not_crash(tmp_path):
-    from repro import HomeGuard
-    from repro.corpus import app_by_name
-
     store_path = tmp_path / "mangled-reviews"
-    hg = HomeGuard(transport="http", store_path=str(store_path))
-    hg.register_device("Living-room TV", "tv")
-    hg.register_device("Hall sensor", "temperatureSensor")
-    hg.register_device("Back window", "windowOpener")
-    hg.install(
-        app_by_name("ComfortTV"),
-        devices={"tv1": "Living-room TV", "tSensor": "Hall sensor",
-                 "window1": "Back window"},
-        values={"threshold1": 30},
-    )
+    service = new_home(LIVING_ROOM, store_path=store_path)
+    install(service, "ComfortTV", **LIVING_ROOM_COMFORT_TV)
     meta_path = store_path / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     meta["frontend"]["reviews"] = [
@@ -634,14 +588,14 @@ def test_malformed_review_entries_degrade_not_crash(tmp_path):
     ]
     meta_path.write_text(json.dumps(meta), encoding="utf-8")
 
-    hg2 = HomeGuard(transport="http", store_path=str(store_path))
-    hg2.restore()
+    service2 = new_home(store_path=store_path)
+    service2.restore(HOME)
     # The two malformed entries are skipped, the entry with broken
     # threat records keeps its review shell, the intact one restores.
-    assert [r.app_name for r in hg2.app.reviews] == ["ComfortTV",
-                                                     "ComfortTV"]
-    assert hg2.app.reviews[0].threats == []
-    assert hg2.installed_apps() == ["ComfortTV"]
+    reviews = service2.home(HOME).reviews
+    assert [r.app_name for r in reviews] == ["ComfortTV", "ComfortTV"]
+    assert reviews[0].threats == []
+    assert service2.installed_apps(HOME) == ["ComfortTV"]
 
 
 def test_restore_into_missing_store_audits_cold(tmp_path):

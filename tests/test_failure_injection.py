@@ -8,10 +8,10 @@ from repro.config import ConfigPayload, SmsTransport, decode_uri, encode_uri
 from repro.config.recorder import ConfigRecorder
 from repro.constraints import TypeBasedResolver
 from repro.detector import DetectionEngine
-from repro.frontend.app import HomeGuardApp
 from repro.rules import extract_rules
 from repro.rules.extractor import ExtractionError, RuleExtractor
 from repro.runtime import SmartHome
+from repro.service import HomeGuardService, InstallDecision
 
 
 def test_malformed_uri_segments_rejected():
@@ -34,11 +34,11 @@ def h(evt) { l1.on() }
                     .replace('"c1"', '"c9"').replace('"l1"', '"l9"')
                     .replace("c1,", "c9,").replace("l1.off", "l9.off"),
                     "B")
-    app = HomeGuardApp(backend)
+    home = HomeGuardService(extractor=backend, workers=None).create_home("h")
     # Neither app's payload carries any device binding.
-    review_a = app.review_installation(ConfigPayload(app_name="A"))
-    app.decide(review_a, __import__("repro").InstallDecision.KEEP)
-    review_b = app.review_installation(ConfigPayload(app_name="B"))
+    review_a = home.review_installation(ConfigPayload(app_name="A"))
+    home.decide(review_a, InstallDecision.KEEP)
+    review_b = home.review_installation(ConfigPayload(app_name="B"))
     assert review_b.threats == []  # unbound inputs never alias
 
 

@@ -1,8 +1,7 @@
 """Tests for the review-screen rendering and threat phrasing details."""
 
 from repro.detector.types import Threat, ThreatType
-from repro.frontend import describe_threat, render_review
-from repro.frontend.app import InstallReview
+from repro.frontend import InstallReview, describe_threat, render_review
 from repro.frontend.ui import _wrap
 from repro.rules import Action, Condition, Rule, Trigger
 from repro.symex.values import DeviceRef

@@ -1,7 +1,7 @@
 """Soak test: a realistic home accumulating many store apps through the
-full HomeGuard pipeline (instrument -> URI -> transport -> review)."""
+full HomeGuardService install/decide path."""
 
-from repro import HomeGuard, InstallDecision
+from homes import HOME, install, new_home
 from repro.corpus import app_by_name
 from repro.detector.types import ThreatType
 from repro.runtime import SmartHome
@@ -33,27 +33,23 @@ INSTALL_PLAN = [
 ]
 
 
-def build_homeguard() -> HomeGuard:
-    hg = HomeGuard(transport="http")
-    for label, type_name in [
-        ("Hall motion", "motionSensor"), ("Hall light", "light"),
-        ("Hall lux", "illuminanceSensor"), ("Front door", "contactSensor"),
-        ("Main meter", "powerMeter"), ("Space heater", "heater"),
-        ("Hall temp", "temperatureSensor"), ("Phone", "presenceSensor"),
-        ("Front lock", "doorLock"),
-    ]:
-        hg.register_device(label, type_name)
-    return hg
+HOME_DEVICES = [
+    ("Hall motion", "motionSensor"), ("Hall light", "light"),
+    ("Hall lux", "illuminanceSensor"), ("Front door", "contactSensor"),
+    ("Main meter", "powerMeter"), ("Space heater", "heater"),
+    ("Hall temp", "temperatureSensor"), ("Phone", "presenceSensor"),
+    ("Front lock", "doorLock"),
+]
 
 
 def test_store_accumulation_end_to_end():
-    hg = build_homeguard()
+    service = new_home(HOME_DEVICES)
     reviews = []
     for name, devices, values in INSTALL_PLAN:
         reviews.append(
-            hg.install(app_by_name(name), devices=devices, values=values)
+            install(service, name, devices=devices, values=values)
         )
-    assert len(hg.installed_apps()) == len(INSTALL_PLAN)
+    assert len(service.installed_apps(HOME)) == len(INSTALL_PLAN)
 
     all_threats = [t for review in reviews for t in review.threats]
     found = {t.type for t in all_threats}
@@ -73,13 +69,7 @@ def test_store_accumulation_end_to_end():
 
 def test_same_apps_run_in_simulator_without_errors():
     home = SmartHome(seed=5)
-    for label, type_name in [
-        ("Hall motion", "motionSensor"), ("Hall light", "light"),
-        ("Hall lux", "illuminanceSensor"), ("Front door", "contactSensor"),
-        ("Main meter", "powerMeter"), ("Space heater", "heater"),
-        ("Hall temp", "temperatureSensor"), ("Phone", "presenceSensor"),
-        ("Front lock", "doorLock"),
-    ]:
+    for label, type_name in HOME_DEVICES:
         home.add_device(label, type_name)
     for name, devices, values in INSTALL_PLAN:
         bindings = {

@@ -13,6 +13,9 @@ in-process call.  A chaos arm proves no observation is double-counted
 under injected store-append and transport-write faults.
 """
 
+import json
+import random
+
 import pytest
 
 from repro.corpus import app_by_name
@@ -38,6 +41,7 @@ from repro.resilience import RetryPolicy
 from repro.rules.model import Action, Condition, DeviceRef, Rule, Trigger
 from repro.runtime.events import Event, EventBus
 from repro.service import (
+    DecisionRequest,
     EvidencePolicy,
     HomeGuardService,
     InstallRequest,
@@ -534,3 +538,77 @@ def test_transport_write_fault_then_resend_counts_once(tmp_path):
         assert stats.threats_confirmed == 1
         ledger = service.observations("h1")
         assert len({o.key for o in ledger}) == len(ledger)
+
+
+# ----------------------------------------------------------------------
+# Batch-split invariance: how a stream is cut into ingestion batches
+# must never change what the monitor observes.
+
+
+def _interactive_home():
+    """A home keeping the ComfortTV/ColdDefender AR pair, so the
+    stream below feeds a confirmation rule as well as the anomaly
+    catalog.  Returns the home and its window and TV device ids."""
+    service = HomeGuardService(workers=None)
+    service.preload([app_by_name("ComfortTV"), app_by_name("ColdDefender")])
+    service.create_home("h1")
+    tv = service.register_device("h1", "TV", "tv")
+    service.register_device("h1", "Temp", "temperatureSensor")
+    window = service.register_device("h1", "Window", "windowOpener")
+    for spec in (COMFORT_TV, COLD_DEFENDER):
+        session = service.install(InstallRequest(home_id="h1", **spec))
+        service.decide(DecisionRequest(
+            home_id="h1", session_id=session.session_id, decision="keep",
+        ))
+    return service.home("h1"), window.device_id, tv.device_id
+
+
+def _seeded_stream(window_id, tv_id, count=4000, seed=16):
+    """Switch traffic on the watched window and TV (with toggle bursts),
+    power readings with spikes and dropouts, and lock/alarm events,
+    spread over more than a day of event time (nights included)."""
+    rng = random.Random(seed)
+    events, now = [], 0.0
+    while len(events) < count:
+        burst = rng.random() < 0.3
+        now += rng.uniform(0.2, 1.0) if burst else rng.uniform(5, 90)
+        kind = rng.random()
+        if kind < 0.01:
+            for flip in range(12):  # a flapping window: toggle spam
+                events.append(ev(window_id, "switch", ("on", "off")[flip % 2],
+                                 now + flip))
+            now += 12
+        elif kind < 0.5:
+            subject = window_id if rng.random() < 0.6 else tv_id
+            value = rng.choice(["on", "off"])
+            events.append(ev(subject, "switch", value, now))
+        elif kind < 0.8:
+            watts = rng.choice(
+                [0.0, rng.uniform(80, 120), rng.uniform(900, 2000)]
+            )
+            events.append(ev("meter", "power", round(watts, 2), now))
+        else:
+            name, values = rng.choice(
+                [("lock", ["locked", "unlocked"]), ("alarm", ["off", "both"])]
+            )
+            events.append(ev("front", name, rng.choice(values), now))
+    return events[:count]
+
+
+def test_monitor_ledger_is_invariant_to_batch_split():
+    ledgers = {}
+    for size in (1, 7, 50, 100, 400, 4000):
+        home, window_id, tv_id = _interactive_home()
+        stream = _seeded_stream(window_id, tv_id)
+        for start in range(0, len(stream), size):
+            home.ingest_events(
+                stream[start:start + size], batch_id=f"split{size}-{start}"
+            )
+        observations = home.observations()
+        ledgers[size] = json.dumps([o.to_json() for o in observations])
+    assert len(set(ledgers.values())) == 1, sorted(
+        (size, len(json.loads(ledger))) for size, ledger in ledgers.items()
+    )
+    # The invariance is only as strong as what the stream exercises.
+    kinds = {o.kind for o in observations}
+    assert {KIND_CONFIRMED, KIND_ANOMALY} <= kinds

@@ -6,7 +6,6 @@ import pytest
 
 from repro.corpus import app_by_name
 from repro.detector.types import ThreatType
-from repro.frontend.app import HomeGuardApp
 from repro.rules.extractor import RuleExtractor
 from repro.service import (
     AuditRequest,
@@ -15,7 +14,6 @@ from repro.service import (
     DecisionRequest,
     DuplicateHomeError,
     HomeGuardService,
-    InstallDecision,
     InstallRequest,
     InteractivePolicy,
     SessionDecidedError,
@@ -450,50 +448,41 @@ def test_service_close_is_idempotent_and_releases_workers():
     assert service.dispatcher._executor is None
 
 
-def test_homeguard_close_idempotent_after_failed_restore(tmp_path):
-    """Satellite regression: a restore() that blows up mid-load must
-    not leave process-pool workers dangling — close() still releases
-    them, and calling it again (or before any dispatch) is safe."""
-    from repro import HomeGuard
-
+def test_close_idempotent_after_failed_restore(tmp_path):
+    """Satellite regression: a restore that blows up mid-load must not
+    leave process-pool workers dangling — close() still releases them,
+    and calling it again (or before any dispatch) is safe."""
     store_path = tmp_path / "store"
-    seed = HomeGuard(transport="http", store_path=str(store_path),
-                     workers=None)
-    seed.register_device("TV", "tv")
-    seed.register_device("Temp", "temperatureSensor")
-    seed.register_device("Window", "windowOpener")
-    seed.install(app_by_name("ComfortTV"),
-                 devices={"tv1": "TV", "tSensor": "Temp",
-                          "window1": "Window"},
-                 values={"threshold1": 30})
+    seed = fresh_service()
+    make_home(seed, "h1", store_path=store_path)
+    session = seed.install(InstallRequest(home_id="h1", **COMFORT_TV))
+    seed.decide(DecisionRequest(home_id="h1", session_id=session.session_id,
+                                decision="keep"))
     seed.close()
     seed.close()  # close twice on the serial path: also a no-op
 
-    hg = HomeGuard(transport="http", store_path=str(store_path),
-                   workers="process:2")
+    service = fresh_service(workers="process:2")
+    make_home(service, "h1", store_path=store_path)
     # Force the shared pool to start (two conflicting installs give
     # the dispatcher real pairs), then make the next load explode.
-    hg.register_device("TV", "tv")
-    hg.register_device("Window", "windowOpener")
-    hg.install(app_by_name("ComfortTV"),
-               devices={"tv1": "TV", "tSensor": "temperatureSensor",
-                        "window1": "Window"},
-               values={"threshold1": 30})
-    hg.install(app_by_name("ColdDefender"),
-               devices={"tv2": "TV", "window2": "Window"},
-               values={"weather": "rainy"})
-    assert hg.service.dispatcher._executor is not None
+    for spec in (COMFORT_TV, COLD_DEFENDER):
+        session = service.install(InstallRequest(home_id="h1", **spec))
+        service.decide(DecisionRequest(home_id="h1",
+                                       session_id=session.session_id,
+                                       decision="keep"))
+    assert service.dispatcher._executor is not None
 
     def exploding_load(*args, **kwargs):
         raise RuntimeError("disk went away mid-restore")
 
-    hg.app.store.load = exploding_load
+    home = service.home("h1")
+    home.store.load = exploding_load
     with pytest.raises(RuntimeError, match="disk went away"):
-        hg.restore()
-    hg.close()  # must still release the pool despite the failed restore
-    assert hg.service.dispatcher._executor is None
-    hg.close()  # and stay callable
-    assert hg.service.dispatcher._executor is None
+        home.load_store()
+    service.close()  # must still release the pool despite the failed restore
+    assert service.dispatcher._executor is None
+    service.close()  # and stay callable
+    assert service.dispatcher._executor is None
 
 
 def test_close_before_any_dispatch_is_safe():
@@ -550,23 +539,3 @@ def test_service_context_manager_closes():
                                            decision="keep"))
         assert service.dispatcher._executor is not None
     assert service.dispatcher._executor is None
-
-
-def test_homeguardapp_shim_still_walks_the_legacy_flow():
-    """The deprecation-warned shim keeps the historical surface: direct
-    review_installation/decide calls over a shared service home."""
-    from repro.config.uri import ConfigPayload
-
-    backend = RuleExtractor()
-    backend.extract(app_by_name("ComfortTV").source, "ComfortTV")
-    with pytest.warns(DeprecationWarning):
-        app = HomeGuardApp(backend, workers=None)
-    review = app.review_installation(ConfigPayload(app_name="ComfortTV"))
-    app.decide(review, InstallDecision.KEEP)
-    assert app.installed_apps() == ["ComfortTV"]
-    assert app.reviews[0].decision == "keep"
-    assert app.reviews[0].decided_by is None
-    # The shim's state views are live views of the service home.
-    home = app.service.home("default")
-    assert app.reviews is home.reviews
-    assert app.pipeline is home.pipeline

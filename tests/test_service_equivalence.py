@@ -1,12 +1,16 @@
-"""Legacy-equivalence gate for the service redesign (DESIGN.md §11).
+"""Equivalence gates for the service (DESIGN.md §11).
 
-The ``HomeGuardService`` surface must be a pure *API* change: driving a
-home through typed requests + ``InteractivePolicy`` decisions yields
-**byte-identical** threat sets, solve caches and on-disk store bytes
-as the legacy ``HomeGuard``/``HomeGuardApp`` flow, for the demo and
-generated corpora, on the serial and ``auto`` dispatchers.  Two homes
-sharing one service (and one dispatcher) must likewise match two
-isolated single-home deployments exactly.
+Driving a home through typed requests + ``InteractivePolicy`` decisions
+must report exactly the pairwise threats of the brute-force detector:
+after every kept install, a fresh ``DetectionEngine.detect_rulesets``
+over the new app and the kept apps yields the same threat multiset as
+the session's report — for the demo and generated corpora, on the
+serial and ``auto`` dispatchers.  The paper's configuration-URI path
+(§IV-C: a messaging transport feeding ``review_pending``) and the
+loopback socket transport must give **byte-identical** threats, solve
+caches and store bytes to the typed ``install``/``decide`` path.  Two
+homes sharing one service (and one dispatcher) must likewise match two
+isolated single-home services exactly.
 
 Every wire object produced along the way must survive a JSON
 dump/load round-trip with the schema version asserted.
@@ -17,21 +21,22 @@ set/dict iteration order leak into any home's results.
 """
 
 import json
-import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro.config import ConfigPayload, FcmHttpTransport, encode_uri
 from repro.corpus import app_by_name, device_controlling_apps
+from repro.detector import DetectionEngine
 from repro.service import (
     WIRE_SCHEMA_VERSION,
     AuditRequest,
     DecisionRequest,
     HomeGuardService,
     InstallRequest,
-    InstallSession,
-    ThreatReport,
 )
+from repro.service.schemas import ThreatRecord
 
 # ----------------------------------------------------------------------
 # Install plans: (app, device-input -> label, values)
@@ -104,14 +109,10 @@ def setup_for(corpus_name):
 # chain paths, decisions all participate)
 
 
-def _legacy_threats(review, app_name=None):
-    return [
-        (app_name or review.app_name, threat.type.value,
-         threat.rule_a.rule_id, threat.rule_b.rule_id, threat.detail,
-         tuple(threat.witness),
-         tuple(rule.rule_id for rule in threat.chain))
-        for threat in (*review.threats, *review.chains)
-    ]
+def _record_multiset(records):
+    return Counter(
+        json.dumps(record.to_json(), sort_keys=True) for record in records
+    )
 
 
 def _wire_threats(report):
@@ -141,44 +142,41 @@ def _round_trip(obj):
 
 
 # ----------------------------------------------------------------------
-# The two drivers
+# The drivers
 
 
-def run_legacy(devices, plan, store_dir, workers):
-    """The pre-redesign surface: HomeGuard facade + interactive keeps."""
-    from repro import HomeGuard
+def _assert_brute_force(service, home_id, session, kept):
+    """The oracle: a fresh all-pairs engine over the new app and every
+    kept app finds exactly the session's pairwise threats."""
+    home = service.home(home_id)
+    new = service.extractor.rules_of(session.app_name)
+    brute = DetectionEngine(home.config_recorder).detect_rulesets(new, kept)
+    assert _record_multiset(session.report.threats) == _record_multiset(
+        ThreatRecord.from_threat(threat) for threat in brute.threats
+    ), session.app_name
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        hg = HomeGuard(transport="http", store_path=str(store_dir),
-                       workers=workers)
-    try:
-        for label, type_name in devices:
-            hg.register_device(label, type_name)
-        threats = []
-        for name, bindings, values in plan:
-            review = hg.install(app_by_name(name), devices=bindings,
-                                values=values)
-            threats.extend(_legacy_threats(review))
-        audit = []
-        for review in hg.audit_existing():
-            audit.extend(_legacy_threats(review))
-        return {
-            "threats": threats,
-            "audit": audit,
-            "caches": json.dumps(hg.pipeline.engine.export_caches(),
-                                 default=str),
-            "store": _store_bytes(store_dir),
-            "installed": hg.installed_apps(),
-        }
-    finally:
-        hg.close()
+
+def _outcome(service, home_id, store_dir, threats):
+    """Audit the home and fingerprint everything it left behind."""
+    audit = []
+    for report in service.audit(AuditRequest(home_id=home_id)):
+        audit.extend(_wire_threats(_round_trip(report)))
+    return {
+        "threats": threats,
+        "audit": audit,
+        "caches": json.dumps(
+            service.home(home_id).pipeline.engine.export_caches(),
+            default=str),
+        "store": _store_bytes(store_dir),
+        "installed": service.installed_apps(home_id),
+    }
 
 
 def run_service(devices, plan, store_dir, workers, home_id="home",
-                solve_cache=None):
-    """The redesigned surface: typed requests, InteractivePolicy, one
-    explicit DecisionRequest per install."""
+                solve_cache=None, oracle=False):
+    """The typed surface: InstallRequest, InteractivePolicy, one
+    explicit DecisionRequest per install.  With ``oracle`` every kept
+    install is checked against the brute-force detector."""
     service = HomeGuardService(workers=workers, solve_cache=solve_cache)
     try:
         service.preload([app_by_name(name) for name, _, _ in plan])
@@ -186,6 +184,7 @@ def run_service(devices, plan, store_dir, workers, home_id="home",
         for label, type_name in devices:
             service.register_device(home_id, label, type_name)
         threats = []
+        kept = []
         for name, bindings, values in plan:
             session = service.install(InstallRequest(
                 home_id=home_id, app_name=name,
@@ -196,19 +195,44 @@ def run_service(devices, plan, store_dir, workers, home_id="home",
                 home_id=home_id, session_id=session.session_id,
                 decision="keep",
             ))
+            session = _round_trip(session)
+            if oracle:
+                _assert_brute_force(service, home_id, session, kept)
+                home = service.home(home_id)
+                kept.append(home.rule_recorder.rules_of(name))
+            threats.extend(_wire_threats(session.report))
+        return _outcome(service, home_id, store_dir, threats)
+    finally:
+        service.close()
+
+
+def run_config_uri(devices, plan, store_dir, workers, home_id="home"):
+    """The paper's §IV-C path: each app's configuration URI crosses a
+    messaging transport into the home's queue, and ``review_pending``
+    opens the session the user then decides."""
+    service = HomeGuardService(workers=workers)
+    try:
+        service.preload([app_by_name(name) for name, _, _ in plan])
+        home = service.create_home(home_id, store_path=store_dir)
+        for label, type_name in devices:
+            service.register_device(home_id, label, type_name)
+        transport = FcmHttpTransport()
+        service.connect_transport(home_id, transport)
+        threats = []
+        for name, bindings, values in plan:
+            bound, types = home.bind_inputs(bindings)
+            transport.send(encode_uri(ConfigPayload(
+                app_name=name, devices=bound,
+                values={key: str(value) for key, value in values.items()},
+            )), None)
+            (session,) = service.review_pending(home_id, types)
+            assert session.pending
+            session = service.decide(DecisionRequest(
+                home_id=home_id, session_id=session.session_id,
+                decision="keep",
+            ))
             threats.extend(_wire_threats(_round_trip(session).report))
-        audit = []
-        for report in service.audit(AuditRequest(home_id=home_id)):
-            audit.extend(_wire_threats(_round_trip(report)))
-        return {
-            "threats": threats,
-            "audit": audit,
-            "caches": json.dumps(
-                service.home(home_id).pipeline.engine.export_caches(),
-                default=str),
-            "store": _store_bytes(store_dir),
-            "installed": service.installed_apps(home_id),
-        }
+        return _outcome(service, home_id, store_dir, threats)
     finally:
         service.close()
 
@@ -261,41 +285,54 @@ def run_transport(devices, plan, store_dir, workers, home_id="home",
 
 
 # ----------------------------------------------------------------------
-# The gate
+# The gates
+
+
+def _assert_same(served, reference):
+    assert reference["threats"], "corpus produced no threats to compare"
+    assert served["threats"] == reference["threats"]
+    assert served["audit"] == reference["audit"]
+    assert served["caches"] == reference["caches"]
+    assert served["installed"] == reference["installed"]
+    # Byte-identical persistence: same filenames, same bytes.
+    assert served["store"] == reference["store"]
 
 
 @pytest.mark.parametrize("workers", ["serial", "auto"])
 @pytest.mark.parametrize("corpus_name", ["demo", "generated"])
-def test_service_matches_legacy_flow(corpus_name, workers, tmp_path):
+def test_service_matches_brute_force_oracle(corpus_name, workers, tmp_path):
     devices, plan = setup_for(corpus_name)
-    legacy = run_legacy(devices, plan, tmp_path / "legacy", workers)
-    served = run_service(devices, plan, tmp_path / "service", workers)
-    assert legacy["threats"], "corpus produced no threats to compare"
-    assert served["threats"] == legacy["threats"]
-    assert served["audit"] == legacy["audit"]
-    assert served["caches"] == legacy["caches"]
-    assert served["installed"] == legacy["installed"]
-    # Byte-identical persistence: same filenames, same bytes.
-    assert served["store"] == legacy["store"]
-    assert any(name.startswith("shard-") for name in legacy["store"])
+    served = run_service(devices, plan, tmp_path / "service", workers,
+                         oracle=True)
+    assert served["threats"], "corpus produced no threats to compare"
+    assert served["installed"] == sorted(name for name, _, _ in plan)
+    assert any(name.startswith("shard-") for name in served["store"])
 
 
 @pytest.mark.parametrize("workers", ["serial", "auto"])
-def test_transport_matches_legacy_flow(workers, tmp_path):
+@pytest.mark.parametrize("corpus_name", ["demo", "generated"])
+def test_config_uri_path_matches_typed_path(corpus_name, workers, tmp_path):
+    """Paper §IV-C: the configuration URI sent over a messaging
+    transport and reviewed from the home's queue is the typed install
+    request in another envelope — same threats, caches and store
+    bytes."""
+    devices, plan = setup_for(corpus_name)
+    typed = run_service(devices, plan, tmp_path / "typed", workers)
+    via_uri = run_config_uri(devices, plan, tmp_path / "uri", workers)
+    _assert_same(via_uri, typed)
+
+
+@pytest.mark.parametrize("workers", ["serial", "auto"])
+def test_transport_matches_typed_path(workers, tmp_path):
     """The loopback equivalence gate (DESIGN.md §13): driving the demo
     plan across the socket — strict wire decode, admission control and
     fair scheduling in the path — yields byte-identical threats, solve
-    caches and store bytes as the legacy in-process flow.  The
+    caches and store bytes as the in-process typed flow.  The
     transport is a front end, never a semantic layer."""
     devices, plan = setup_for("demo")
-    legacy = run_legacy(devices, plan, tmp_path / "legacy", workers)
+    typed = run_service(devices, plan, tmp_path / "typed", workers)
     served = run_transport(devices, plan, tmp_path / "socket", workers)
-    assert legacy["threats"], "corpus produced no threats to compare"
-    assert served["threats"] == legacy["threats"]
-    assert served["audit"] == legacy["audit"]
-    assert served["caches"] == legacy["caches"]
-    assert served["installed"] == legacy["installed"]
-    assert served["store"] == legacy["store"]
+    _assert_same(served, typed)
 
 
 def test_demo_plan_exercises_chains(tmp_path):
@@ -321,7 +358,7 @@ def _split_demo_plan():
 def test_two_tenants_match_isolated_deployments(workers, tmp_path):
     """Two homes interleaved over ONE service (sharing its dispatcher
     and worker pool) must produce exactly the threats and store bytes
-    of two isolated HomeGuard instances — tenancy is invisible to
+    of two isolated single-home services — tenancy is invisible to
     detection."""
     plan_a, plan_b = _split_demo_plan()
 
@@ -365,8 +402,8 @@ def test_two_tenants_match_isolated_deployments(workers, tmp_path):
     # guarantee the backend is a pure performance choice, so the shared
     # pool must change nothing either.
     for home_id, plan in (("alice", plan_a), ("bob", plan_b)):
-        isolated = run_legacy(DEMO_DEVICES, plan,
-                              tmp_path / f"iso-{home_id}", None)
+        isolated = run_service(DEMO_DEVICES, plan,
+                               tmp_path / f"iso-{home_id}", None)
         assert shared[home_id] == isolated["threats"], home_id
         assert shared_store[home_id] == isolated["store"], home_id
     assert any(shared["alice"]) or any(shared["bob"])
@@ -379,19 +416,16 @@ def test_two_tenants_match_isolated_deployments(workers, tmp_path):
 
 @pytest.mark.parametrize("workers", ["serial", "auto"])
 @pytest.mark.parametrize("cache_spec", ["lru", "sqlite"])
-def test_shared_cache_service_matches_legacy(cache_spec, workers, tmp_path):
+def test_shared_cache_service_matches_uncached(cache_spec, workers, tmp_path):
     devices, plan = setup_for("demo")
-    legacy = run_legacy(devices, plan, tmp_path / "legacy", workers)
+    uncached = run_service(devices, plan, tmp_path / "uncached", workers)
     spec = (
         "lru" if cache_spec == "lru"
         else f"sqlite:{tmp_path / 'fleet.db'}"
     )
     served = run_service(devices, plan, tmp_path / "service", workers,
                          solve_cache=spec)
-    assert served["threats"] == legacy["threats"]
-    assert served["audit"] == legacy["audit"]
-    assert served["caches"] == legacy["caches"]
-    assert served["store"] == legacy["store"]
+    _assert_same(served, uncached)
 
 
 def test_identical_tenants_share_solves(tmp_path):

@@ -106,6 +106,20 @@ def test_flooding_tenant_cannot_starve_a_light_one():
             access_records.append(record)
 
     service = HomeGuardService(workers=None)
+    # Hold the first flood install on the scheduler's single executor
+    # thread, so the rest of the flood must queue behind it however
+    # fast installs run on this host.
+    gate = threading.Event()
+    held = threading.Event()
+    install = service.install
+
+    def gated_install(request):
+        if not held.is_set():
+            held.set()
+            gate.wait(timeout=60)
+        return install(request)
+
+    service.install = gated_install
     with serve_background(
         service,
         own_service=True,
@@ -142,13 +156,23 @@ def test_flooding_tenant_cannot_starve_a_light_one():
                         break
                     await asyncio.sleep(0.005)
                 assert backlog >= 10, "flood never built a backlog"
-                # Now the light tenant asks for one small thing.
+                # Now the light tenant asks for one small thing; the
+                # gate opens only once the request is queued.
                 async with AsyncFleetClient(
                     live.host, live.port
                 ) as light:
-                    result, error = await light.call(
+                    light_call = asyncio.ensure_future(light.call(
                         "installed_apps", {"home_id": "light"}
-                    )
+                    ))
+                    for _ in range(1000):
+                        result, _ = await probe.call("status")
+                        if result["tenants"].get("light", {}).get(
+                            "requests"
+                        ):
+                            break
+                        await asyncio.sleep(0.005)
+                    gate.set()
+                    result, error = await light_call
                     assert error is None
                     assert result == {"apps": []}
             results = await asyncio.gather(*tasks)
@@ -156,7 +180,10 @@ def test_flooding_tenant_cannot_starve_a_light_one():
                 await client.close()
             return results
 
-        results = asyncio.run(scenario())
+        try:
+            results = asyncio.run(scenario())
+        finally:
+            gate.set()  # never strand the executor thread on a failure
         assert all(error is None for _, error in results)
 
     work_records = [
