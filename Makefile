@@ -70,9 +70,9 @@ bench-fleet:
 
 # Full storage-engine sweep (DESIGN.md §14): a 10k-home fleet database
 # gating delta-commit cost at < 1% of a full-store rewrite, plus a
-# 384-home churn bounded at 256 resident homes across the delta/dir,
-# delta/sqlite and eager arms; rewrites the committed
-# BENCH_store_engine.json trajectory point.
+# 384-home churn bounded at 256 resident homes across the delta/dir and
+# delta/sqlite arms and the full-save oracle in tests/stores.py;
+# rewrites the committed BENCH_store_engine.json trajectory point.
 bench-store:
 	$(PYTHON) benchmarks/bench_store_engine.py
 

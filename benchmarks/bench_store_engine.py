@@ -18,7 +18,8 @@ Two arms over the §14 storage engine (``repro.detector.storage``):
   :class:`~repro.service.service.HomeGuardService` with
   ``max_resident_homes=CHURN_BOUND``, three ways: journaled deltas on
   the directory backend, journaled deltas on the fleet SQLite backend,
-  and the eager full-rewrite path (``store_delta=False``).  Peak
+  and the full-save oracle in ``tests/stores.py`` (every commit
+  rewrites the whole snapshot; arm name ``eager_dir``).  Peak
   residency must stay under the bound while threats and the canonical
   parsed store state of **every** home stay identical across all three
   arms (eviction is a warm restart; the journal is an encoding, not a
@@ -35,11 +36,19 @@ the committed artifact.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import sys
 import tempfile
 import time
 from pathlib import Path
+
+# The full-save arm's store lives with the tests; script runs start
+# with only benchmarks/ on the path, so put the repo root there too.
+_REPO_ROOT = str(Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 from repro.corpus import app_by_name, device_controlling_apps
 from repro.detector import DetectionPipeline, DetectionStore, ShardedRuleIndex
@@ -50,6 +59,7 @@ from repro.service import (
     InstallRequest,
     SeverityThresholdPolicy,
 )
+from tests.stores import full_save_homes
 
 HOMES = int(os.environ.get("BENCH_STORE_HOMES", "50"))
 APPS_PER_HOME = int(os.environ.get("BENCH_STORE_APPS", "4"))
@@ -286,13 +296,16 @@ def bench_bounded_churn(root: Path) -> dict:
         "delta_sqlite": dict(
             max_resident_homes=CHURN_BOUND, store_backend="sqlite"
         ),
-        "eager_dir": dict(
-            max_resident_homes=CHURN_BOUND, store_delta=False
-        ),
+        "eager_dir": dict(max_resident_homes=CHURN_BOUND),
     }
     results = {}
     for arm, kwargs in arms.items():
-        results[arm] = _churn_arm(root / arm, home_ids, **kwargs)
+        oracle = (
+            full_save_homes() if arm == "eager_dir"
+            else contextlib.nullcontext()
+        )
+        with oracle:
+            results[arm] = _churn_arm(root / arm, home_ids, **kwargs)
         print(
             f"  bounded_churn/{arm}: {CHURN_HOMES} homes, bound "
             f"{CHURN_BOUND}, peak resident "
@@ -309,7 +322,7 @@ def bench_bounded_churn(root: Path) -> dict:
             f"{arm}: threat reports diverged from the delta/dir arm"
         )
     # And the persisted state of every single home parses identically
-    # across all three arms (delta-vs-eager, dir-vs-sqlite).
+    # across all three arms (delta-vs-full-save, dir-vs-sqlite).
     fleet = SQLiteStoreBackend(root / "delta_sqlite" / "store.sqlite")
     for home_id in home_ids:
         reference = _canonical_store(root / "delta_dir" / home_id)

@@ -88,9 +88,6 @@ class DetectionPipeline:
     def stats(self):
         return self.engine.stats
 
-    def signatures_of(self, app_name: str) -> list[RuleSignature]:
-        return list(self._installed.get(app_name, ()))
-
     def installed_signatures(self) -> dict[str, list[RuleSignature]]:
         """Installed signatures per app, in installation order — the
         state a :class:`~repro.detector.store.DetectionStore` snapshots."""

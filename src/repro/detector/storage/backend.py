@@ -103,7 +103,7 @@ class DirectoryBackend(StoreBackend):
         try:
             os.fsync(fd)
         except OSError:
-            pass
+            pass  # directory fsync refused: the rename is still atomic
         finally:
             os.close(fd)
 
@@ -177,7 +177,7 @@ class DirectoryBackend(StoreBackend):
         try:
             (self.path / key).unlink(missing_ok=True)
         except OSError:
-            pass
+            pass  # an unreferenced leftover: the next base write retries
 
     def sweep(self) -> None:
         try:
@@ -188,7 +188,7 @@ class DirectoryBackend(StoreBackend):
             try:
                 path.unlink(missing_ok=True)
             except OSError:
-                pass
+                pass  # list_docs ignores it; the next sweep retries
 
     def __repr__(self) -> str:
         return f"DirectoryBackend({str(self.path)!r})"

@@ -32,7 +32,7 @@ at the first torn or corrupt record — the documented crash-recovery
 semantics: a truncated tail degrades to the state as of the last
 acknowledged commit, never to a crash and never to stale results.
 
-Replay is *exactly* equivalent to the eager full-rewrite path: commit
+Replay is *exactly* equivalent to a full save after every commit: commit
 records pop-and-reappend the app in the directory and its shard
 (mirroring how :meth:`DetectionPipeline.commit` moves a re-committed
 app to the end of the installed order), cache deltas drop in place and
@@ -161,8 +161,8 @@ def apply_record(
                             for rule_id in entry[0]
                         )
                     ]
-            # An environment with no installed apps has no shard in an
-            # eager snapshot either (its caches route with their first
+            # An environment with no installed apps has no shard in a
+            # full save either (its caches route with their first
             # app, so they empty out with it) — GC it the same way.
             if not shard.get("apps"):
                 del shards[environment]

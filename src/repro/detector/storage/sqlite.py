@@ -73,9 +73,11 @@ class _SQLiteDocFile:
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         except OSError:
-            pass
+            pass  # nothing was created; connect below degrades instead
         try:
-            conn = sqlite3.connect(
+            # Held on self at once, so a failure on the statements
+            # below still closes it in _disable.
+            conn = self._conn = sqlite3.connect(
                 str(self.path),
                 check_same_thread=False,
                 isolation_level=None,  # autocommit: writes land immediately
@@ -92,7 +94,6 @@ class _SQLiteDocFile:
                 "key TEXT NOT NULL, seq INTEGER NOT NULL, "
                 "line TEXT NOT NULL, PRIMARY KEY (key, seq))"
             )
-            self._conn = conn
         except sqlite3.Error as exc:
             self._disable(exc)
 
@@ -108,7 +109,7 @@ class _SQLiteDocFile:
             try:
                 self._conn.close()
             except sqlite3.Error:
-                pass
+                pass  # the handle is dropped below either way
         self._conn = None
 
     def _transient(self, exc: Exception) -> None:
@@ -161,7 +162,7 @@ class _SQLiteDocFile:
             try:
                 self._conn.close()
             except sqlite3.Error:
-                pass
+                pass  # the handle is dropped below either way
             self._conn = None
 
 

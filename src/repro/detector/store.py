@@ -44,8 +44,7 @@ the serialized rulesets (loss-free, via :mod:`repro.rules
 entry whose rules live in that home.  Sharding is the multi-home fleet
 story: a controller restoring a single home's install parses one shard
 file, not the whole snapshot (:meth:`DetectionStore.load` takes an
-``environments`` filter, and :meth:`DetectionStore.load_shard_index`
-rebuilds one home's index directly).
+``environments`` filter).
 
 Delta snapshots and compaction
 ------------------------------
@@ -59,8 +58,8 @@ consistent prefix over the base (see :mod:`repro.detector.storage
 size-triggered **compaction** (or an explicit :meth:`DetectionStore
 .compact`) folds the journal back into fresh base shards, garbage-
 collecting deleted-app and decided-session debris.  Replay is exactly
-equivalent to the eager full-rewrite path, so compaction never changes
-what a load observes.
+equivalent to a full :meth:`DetectionStore.save` after every commit,
+so compaction never changes what a load observes.
 
 Warm-start invalidation rules
 -----------------------------
@@ -92,13 +91,13 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.constraints.builder import DeviceResolver, environment_of
 from repro.detector.engine import app_of_rule_id
 from repro.detector.index import RuleIndex, ShardedRuleIndex
 from repro.detector.pipeline import DetectionPipeline
-from repro.detector.signature import RuleSignature, SignatureBuilder
+from repro.detector.signature import RuleSignature
 from repro.detector.storage import StoreBackend, make_store_backend
 from repro.detector.storage import journal as journal_format
 from repro.detector.types import ThreatReport
@@ -311,6 +310,18 @@ class _JournalState:
 # The store
 
 
+def _ruleset_of(
+    app_name: str,
+    sigs: list[RuleSignature],
+    rulesets: Mapping[str, RuleSet] | None,
+) -> RuleSet:
+    """The exact extracted ruleset when the caller supplied one, else
+    one reconstructed from the installed signatures."""
+    if rulesets is not None and app_name in rulesets:
+        return rulesets[app_name]
+    return RuleSet(app_name=app_name, rules=[s.rule for s in sigs])
+
+
 class DetectionStore:
     """Versioned on-disk persistence for a detection pipeline.
 
@@ -329,14 +340,9 @@ class DetectionStore:
         self,
         path: str | Path,
         backend: "str | StoreBackend | None" = None,
-        delta: bool = True,
     ) -> None:
         self.path = Path(path)
         self.backend = make_store_backend(backend, self.path)
-        #: When ``False``, :meth:`commit_app` always rewrites the full
-        #: snapshot (the pre-§14 eager behavior) — the reference arm the
-        #: equivalence gates and benchmarks compare the delta path to.
-        self.delta = delta
         self._journal: _JournalState | None = None
         # app -> (ruleset, signatures, pinned-inputs json, fingerprint):
         # repeated saves (one per commit) skip re-hashing apps whose
@@ -375,13 +381,77 @@ class DetectionStore:
         )
         return fingerprint
 
-    def _write_atomic(self, filename: str, payload: dict) -> int:
-        return self.backend.write_doc(
-            filename, json.dumps(payload, default=str)
-        )
-
     # ------------------------------------------------------------------
-    # Saving
+    # Base snapshots
+
+    def _write_base(
+        self,
+        generation: int,
+        apps: dict[str, dict],
+        shards: dict[str, dict],
+        frontend: dict,
+    ) -> int:
+        """Write one base generation and return the bytes written.
+
+        Every shard document lands before ``meta.json``, and the atomic
+        meta replacement is the commit point: until it lands, readers
+        see the previous generation's snapshot and the new shard
+        documents are inert orphans, so a crash mid-write always leaves
+        the previous snapshot intact.  The journal is then superseded
+        (its records pin the old base generation), and documents the
+        fresh meta no longer references are garbage-collected."""
+        write = self.backend.write_doc
+        bytes_written = 0
+        shard_files: dict[str, str] = {}
+        for position, (env, payload) in enumerate(shards.items()):
+            filename = f"shard-{generation:06d}-{position:04d}.json"
+            shard_files[env] = filename
+            bytes_written += write(filename, json.dumps(payload, default=str))
+        meta = json.dumps(
+            {
+                "format": STORE_FORMAT,
+                "schema": SCHEMA_VERSION,
+                "generation": generation,
+                "apps": apps,
+                "shards": shard_files,
+                "frontend": frontend,
+            },
+            default=str,
+        )
+        bytes_written += write(_META_FILE, meta)
+        self.backend.delete(_JOURNAL_FILE)
+        keep = set(shard_files.values())
+        for stale in self.backend.list_docs("shard-"):
+            if stale not in keep:
+                self.backend.delete(stale)
+        self.backend.sweep()
+        self._reset_journal(generation, shards.values())
+        return bytes_written
+
+    def _reset_journal(
+        self,
+        base: int,
+        shards: Iterable[dict],
+        next_seq: int = 0,
+        journal_bytes: int = 0,
+    ) -> None:
+        """Point the in-process delta state at ``base``, with the cache
+        keys the given shard payloads persist as the diff baseline."""
+        persisted: dict[str, set[tuple]] = {
+            kind: set() for kind in journal_format.CACHE_KINDS
+        }
+        for shard in shards:
+            caches = shard.get("caches", {})
+            for kind in journal_format.CACHE_KINDS:
+                for entry in caches.get(kind, []):
+                    persisted[kind].add(tuple(entry[0]))
+        self._journal = _JournalState(
+            base=base,
+            next_seq=next_seq,
+            records=next_seq,
+            bytes=journal_bytes,
+            persisted=persisted,
+        )
 
     def save(
         self,
@@ -389,25 +459,17 @@ class DetectionStore:
         rulesets: Mapping[str, RuleSet] | None = None,
         frontend: dict | None = None,
     ) -> int:
-        """Snapshot a pipeline's installed state to the store; returns
-        the bytes durably written (the full-rewrite cost the delta path
-        is benchmarked against).
+        """Snapshot a pipeline's installed state to the store as a fresh
+        base generation; returns the bytes durably written (the
+        full-rewrite cost the delta path is benchmarked against).
 
         ``rulesets`` optionally supplies the exact extracted rule sets
         (e.g. with their input declarations); when omitted they are
         reconstructed from the installed signatures.  ``frontend`` is an
         opaque JSON-able blob returned verbatim on load (the companion
-        app persists its configuration recorder there).
-
-        Shard documents carry a *generation* number and ``meta.json``
-        is replaced atomically only after every shard of the new
-        generation is durable, so a crash mid-save always leaves the
-        previous snapshot intact (plus harmless orphan documents the
-        next save cleans up).  A successful save is also a
-        **compaction**: the journal's records are superseded by the new
-        base (their ``base`` generation is now stale), so the journal
-        is dropped and the delta state reset."""
-        resolver = pipeline.engine.resolver
+        app persists its configuration recorder there).  A save is also
+        a **compaction**: it supersedes the journal (see
+        :meth:`_write_base`)."""
         previous_generation = -1
         try:
             meta_text = self.backend.read_doc(_META_FILE)
@@ -418,108 +480,87 @@ class DetectionStore:
                 )
         except (ValueError, TypeError, AttributeError):
             pass
-        generation = previous_generation + 1
-        bytes_written = 0
+        resolver = pipeline.engine.resolver
         installed = pipeline.installed_signatures()
-        # Group apps by environment, preserving installation order.
-        apps_by_env: dict[str, list[str]] = {}
-        env_of_app: dict[str, str] = {}
+        env_of_app = {
+            app_name: sigs[0].environment if sigs else ""
+            for app_name, sigs in installed.items()
+        }
+        # One shard per environment, in installation order.
+        shards: dict[str, dict] = {}
+        apps: dict[str, dict] = {}
         for app_name, sigs in installed.items():
-            env = sigs[0].environment if sigs else ""
-            env_of_app[app_name] = env
-            apps_by_env.setdefault(env, []).append(app_name)
-
+            env = env_of_app[app_name]
+            ruleset = _ruleset_of(app_name, sigs, rulesets)
+            fingerprint = self._fingerprint(resolver, ruleset, sigs)
+            apps[app_name] = {"environment": env, "fingerprint": fingerprint}
+            if env not in shards:
+                shards[env] = journal_format.empty_shard(env)
+            shards[env]["apps"][app_name] = {
+                "fingerprint": fingerprint,
+                "ruleset": [rule_to_json(r) for r in ruleset.rules],
+                "signatures": [signature_record(s) for s in sigs],
+            }
         # Route solve-cache entries to the shard of their first app;
         # entries touching a non-installed (staged/discarded) app are
         # not persisted.
-        caches_by_env: dict[str, dict[str, list]] = {
-            env: {"situation": [], "condition": [], "effect": []}
-            for env in apps_by_env
-        }
         for kind, entries in pipeline.engine.export_caches().items():
             for rule_ids, result in entries:
-                apps = [app_of_rule_id(rule_id) for rule_id in rule_ids]
-                if any(app not in env_of_app for app in apps):
+                owners = [app_of_rule_id(rule_id) for rule_id in rule_ids]
+                if any(app not in env_of_app for app in owners):
                     continue
-                caches_by_env[env_of_app[apps[0]]][kind].append(
+                shards[env_of_app[owners[0]]]["caches"][kind].append(
                     [rule_ids, result]
                 )
-
-        meta_apps: dict[str, dict] = {}
-        shard_files: dict[str, str] = {}
-        for position, (env, app_names) in enumerate(apps_by_env.items()):
-            shard_apps: dict[str, dict] = {}
-            for app_name in app_names:
-                sigs = installed[app_name]
-                if rulesets is not None and app_name in rulesets:
-                    ruleset = rulesets[app_name]
-                else:
-                    ruleset = RuleSet(
-                        app_name=app_name, rules=[s.rule for s in sigs]
-                    )
-                fingerprint = self._fingerprint(resolver, ruleset, sigs)
-                meta_apps[app_name] = {
-                    "environment": env,
-                    "fingerprint": fingerprint,
-                }
-                shard_apps[app_name] = {
-                    "fingerprint": fingerprint,
-                    "ruleset": [rule_to_json(r) for r in ruleset.rules],
-                    "signatures": [signature_record(s) for s in sigs],
-                }
-            filename = f"shard-{generation:06d}-{position:04d}.json"
-            shard_files[env] = filename
-            payload = {
-                "environment": env,
-                "apps": shard_apps,
-                "caches": caches_by_env[env],
-            }
-            bytes_written += self._write_atomic(filename, payload)
-        # Installation order must survive the per-shard grouping above.
-        meta_apps = {
-            app_name: meta_apps[app_name]
-            for app_name in installed
-        }
-        meta = {
-            "format": STORE_FORMAT,
-            "schema": SCHEMA_VERSION,
-            "generation": generation,
-            "apps": meta_apps,
-            "shards": shard_files,
-            "frontend": frontend or {},
-        }
-        # The atomic meta replacement is the commit point: until it
-        # lands, readers see the previous generation's snapshot; the
-        # new generation's shard documents are inert orphans.
-        bytes_written += self._write_atomic(_META_FILE, meta)
-        # The journal is superseded: any surviving records pin the old
-        # base generation and would be inert on replay anyway.
-        self.backend.delete(_JOURNAL_FILE)
-        # Drop documents the fresh meta no longer references (previous
-        # generations, leftover temporaries from crashed saves).
-        keep = set(shard_files.values())
-        for stale in self.backend.list_docs("shard-"):
-            if stale not in keep:
-                self.backend.delete(stale)
-        self.backend.sweep()
-        self._journal = _JournalState(
-            base=generation,
-            next_seq=0,
-            records=0,
-            bytes=0,
-            persisted={
-                kind: {
-                    tuple(entry[0])
-                    for env in caches_by_env
-                    for entry in caches_by_env[env][kind]
-                }
-                for kind in journal_format.CACHE_KINDS
-            },
+        return self._write_base(
+            previous_generation + 1, apps, shards, frontend or {}
         )
-        return bytes_written
+
+    def compact(self) -> bool:
+        """Offline compaction: fold the durable base + journal into a
+        fresh base generation without a live pipeline (the janitor /
+        startup path), garbage-collecting deleted-app debris and
+        orphan documents.  Returns ``False`` — changing nothing — when
+        there is no usable snapshot or when a base shard is corrupt
+        (folding then would make the degradation permanent: those apps
+        currently re-sign transparently, and must keep doing so)."""
+        loaded = self._load()
+        if loaded is None:
+            return False
+        snapshot, _next_seq, _journal_bytes, generation, failed = loaded
+        if failed:
+            return False
+        apps: dict[str, dict] = {}
+        shards: dict[str, dict] = {}
+        for app_name, record in snapshot.apps.items():
+            if not isinstance(record, dict):
+                continue
+            env = record.get("environment", "")
+            source = snapshot.shards.get(env)
+            if source is None:
+                continue  # directory debris without a shard: GC'd
+            if env not in shards:
+                shards[env] = {
+                    "environment": env,
+                    "apps": {},
+                    "caches": source.get(
+                        "caches", journal_format.empty_caches()
+                    ),
+                }
+            entry = source.get("apps", {}).get(app_name)
+            if entry is None:
+                continue  # listed but absent from the shard: GC'd
+            shards[env]["apps"][app_name] = entry
+            apps[app_name] = {
+                "environment": env,
+                "fingerprint": record.get("fingerprint"),
+            }
+        shards = {env: shard for env, shard in shards.items() if shard["apps"]}
+        self._write_base(generation + 1, apps, shards, snapshot.frontend)
+        return True
 
     # ------------------------------------------------------------------
-    # Delta commits and compaction
+    # Delta commits
 
     def _init_journal(self) -> None:
         """Seed the in-process delta state from whatever is durable:
@@ -530,20 +571,50 @@ class DetectionStore:
             self._journal = None
             return
         snapshot, next_seq, journal_bytes, generation, _failed = loaded
-        persisted: dict[str, set[tuple]] = {
-            kind: set() for kind in journal_format.CACHE_KINDS
-        }
-        for shard in snapshot.shards.values():
-            caches = shard.get("caches", {})
-            for kind in journal_format.CACHE_KINDS:
-                for entry in caches.get(kind, []):
-                    persisted[kind].add(tuple(entry[0]))
-        self._journal = _JournalState(
-            base=generation,
-            next_seq=next_seq,
-            records=next_seq,
-            bytes=journal_bytes,
-            persisted=persisted,
+        self._reset_journal(
+            generation, snapshot.shards.values(), next_seq, journal_bytes
+        )
+
+    def _append(
+        self,
+        pipeline: DetectionPipeline,
+        build_record: Callable[[int, int, dict], dict],
+        rulesets: Mapping[str, RuleSet] | None,
+        frontend: dict | None,
+    ) -> StoreCommit:
+        """Append ``build_record(seq, base, frontend)``'s journal record.
+
+        Seeds a base with a full :meth:`save` instead when there is no
+        usable snapshot to delta against, and folds the journal into a
+        fresh base (compaction) when it outgrows ``journal_max_records``
+        / ``journal_max_bytes``.  :meth:`save` recomputes from the live
+        pipeline — the source of truth journal replay is equivalent
+        to — so ``rulesets`` and ``frontend`` feed both full saves."""
+        start = time.perf_counter()
+        if self._journal is None:
+            self._init_journal()
+        if self._journal is None:
+            written = self.save(pipeline, rulesets=rulesets, frontend=frontend)
+            return StoreCommit(
+                written, time.perf_counter() - start, full=True
+            )
+        state = self._journal
+        record = build_record(state.next_seq, state.base, frontend or {})
+        line = json.dumps(record, default=str)
+        written = self.backend.append_journal(_JOURNAL_FILE, line)
+        state.next_seq += 1
+        state.records += 1
+        state.bytes += written
+        compacted = (
+            state.records >= self.journal_max_records
+            or state.bytes >= self.journal_max_bytes
+        )
+        if compacted:
+            written += self.save(
+                pipeline, rulesets=rulesets, frontend=frontend
+            )
+        return StoreCommit(
+            written, time.perf_counter() - start, compacted=compacted
         )
 
     def commit_app(
@@ -563,57 +634,35 @@ class DetectionStore:
         that appeared or vanished since the last durable state (or a
         removal marker with the cache keys the app took with it).  A
         load that replays the record observes exactly the state a full
-        :meth:`save` would have written.  Falls back to a full save
-        when delta mode is off or there is no usable base snapshot yet,
-        and folds the journal into a fresh base (compaction) when it
-        outgrows ``journal_max_records`` / ``journal_max_bytes``."""
-        start = time.perf_counter()
-        if not self.delta:
-            written = self.save(pipeline, rulesets=rulesets, frontend=frontend)
-            return StoreCommit(
-                written, time.perf_counter() - start, full=True
-            )
-        if self._journal is None:
-            self._init_journal()
-        if self._journal is None:
-            # No base to delta against — the first commit seeds one.
-            written = self.save(pipeline, rulesets=rulesets, frontend=frontend)
-            return StoreCommit(
-                written, time.perf_counter() - start, full=True
-            )
-        state = self._journal
-        installed = pipeline.installed_signatures()
-        frontend_blob = frontend or {}
-        if remove or app_name not in installed:
-            record = journal_format.remove_record(
-                state.next_seq, state.base, app_name, frontend_blob
-            )
-            prefix = f"{app_name}/"
-            for kind in journal_format.CACHE_KINDS:
-                state.persisted[kind] = {
-                    key
-                    for key in state.persisted[kind]
-                    if not any(
-                        isinstance(rule_id, str)
-                        and rule_id.startswith(prefix)
-                        for rule_id in key
-                    )
-                }
-        else:
-            sigs = installed[app_name]
-            environment = sigs[0].environment if sigs else ""
-            if rulesets is not None and app_name in rulesets:
-                ruleset = rulesets[app_name]
-            else:
-                ruleset = RuleSet(
-                    app_name=app_name, rules=[s.rule for s in sigs]
+        :meth:`save` would have written (see :meth:`_append` for the
+        seeding and compaction saves)."""
+
+        def build_record(seq: int, base: int, frontend_blob: dict) -> dict:
+            persisted = self._journal.persisted
+            installed = pipeline.installed_signatures()
+            if remove or app_name not in installed:
+                prefix = f"{app_name}/"
+                for kind in journal_format.CACHE_KINDS:
+                    persisted[kind] = {
+                        key
+                        for key in persisted[kind]
+                        if not any(
+                            isinstance(rule_id, str)
+                            and rule_id.startswith(prefix)
+                            for rule_id in key
+                        )
+                    }
+                return journal_format.remove_record(
+                    seq, base, app_name, frontend_blob
                 )
+            sigs = installed[app_name]
+            ruleset = _ruleset_of(app_name, sigs, rulesets)
             fingerprint = self._fingerprint(
                 pipeline.engine.resolver, ruleset, sigs
             )
             # Diff the engine's cache export against what is already
             # persisted.  Adds keep export order (= engine insertion
-            # order = the order an eager save writes); drops are sorted
+            # order = the order a full save writes); drops are sorted
             # for deterministic record bytes (replay treats them as a
             # set, so order carries no meaning).
             cache_add: dict[str, list] = {}
@@ -621,25 +670,25 @@ class DetectionStore:
             for kind, entries in pipeline.engine.export_caches().items():
                 eligible: dict[tuple, list] = {}
                 for rule_ids, result in entries:
-                    apps = [app_of_rule_id(r) for r in rule_ids]
-                    if any(app not in installed for app in apps):
+                    owners = [app_of_rule_id(r) for r in rule_ids]
+                    if any(app not in installed for app in owners):
                         continue
                     eligible[tuple(rule_ids)] = [rule_ids, result]
-                persisted = state.persisted.setdefault(kind, set())
+                known = persisted.setdefault(kind, set())
                 cache_add[kind] = [
                     entry
                     for key, entry in eligible.items()
-                    if key not in persisted
+                    if key not in known
                 ]
                 cache_drop[kind] = sorted(
-                    list(key) for key in persisted if key not in eligible
+                    list(key) for key in known if key not in eligible
                 )
-                state.persisted[kind] = set(eligible)
-            record = journal_format.commit_record(
-                state.next_seq,
-                state.base,
+                persisted[kind] = set(eligible)
+            return journal_format.commit_record(
+                seq,
+                base,
                 app_name,
-                environment,
+                sigs[0].environment if sigs else "",
                 fingerprint,
                 [rule_to_json(rule) for rule in ruleset.rules],
                 [signature_record(sig) for sig in sigs],
@@ -647,26 +696,8 @@ class DetectionStore:
                 cache_drop,
                 frontend_blob,
             )
-        line = json.dumps(record, default=str)
-        written = self.backend.append_journal(_JOURNAL_FILE, line)
-        state.next_seq += 1
-        state.records += 1
-        state.bytes += written
-        compacted = False
-        if (
-            state.records >= self.journal_max_records
-            or state.bytes >= self.journal_max_bytes
-        ):
-            # Fold the journal into a fresh base.  save() recomputes
-            # from the live pipeline — the source of truth the journal
-            # replay is provably equivalent to — and resets the state.
-            written += self.save(
-                pipeline, rulesets=rulesets, frontend=frontend
-            )
-            compacted = True
-        return StoreCommit(
-            written, time.perf_counter() - start, compacted=compacted
-        )
+
+        return self._append(pipeline, build_record, rulesets, frontend)
 
     def commit_frontend(
         self,
@@ -681,138 +712,11 @@ class DetectionStore:
         The delta path for state that lives entirely in the opaque
         frontend blob, e.g. the runtime monitor's observation ledger
         (DESIGN.md §16): one ``frontend`` journal record replaces the
-        blob on replay and touches nothing else.  Falls back to a full
-        save when delta mode is off or no base snapshot exists yet, and
-        compacts on the same journal bounds as :meth:`commit_app`
-        (``rulesets`` feeds that fallback/compaction save)."""
-        start = time.perf_counter()
-        if not self.delta:
-            written = self.save(pipeline, rulesets=rulesets, frontend=frontend)
-            return StoreCommit(
-                written, time.perf_counter() - start, full=True
-            )
-        if self._journal is None:
-            self._init_journal()
-        if self._journal is None:
-            written = self.save(pipeline, rulesets=rulesets, frontend=frontend)
-            return StoreCommit(
-                written, time.perf_counter() - start, full=True
-            )
-        state = self._journal
-        record = journal_format.frontend_record(
-            state.next_seq, state.base, frontend or {}
+        blob on replay and touches nothing else.  Seeds and compacts
+        like :meth:`commit_app` (``rulesets`` feeds those full saves)."""
+        return self._append(
+            pipeline, journal_format.frontend_record, rulesets, frontend
         )
-        line = json.dumps(record, default=str)
-        written = self.backend.append_journal(_JOURNAL_FILE, line)
-        state.next_seq += 1
-        state.records += 1
-        state.bytes += written
-        compacted = False
-        if (
-            state.records >= self.journal_max_records
-            or state.bytes >= self.journal_max_bytes
-        ):
-            written += self.save(
-                pipeline, rulesets=rulesets, frontend=frontend
-            )
-            compacted = True
-        return StoreCommit(
-            written, time.perf_counter() - start, compacted=compacted
-        )
-
-    def compact(self) -> bool:
-        """Offline compaction: fold the durable base + journal into a
-        fresh base generation without a live pipeline (the janitor /
-        startup path), garbage-collecting deleted-app debris and
-        orphan documents.  Returns ``False`` — changing nothing — when
-        there is no usable snapshot or when a base shard is corrupt
-        (folding then would make the degradation permanent: those apps
-        currently re-sign transparently, and must keep doing so)."""
-        loaded = self._load()
-        if loaded is None:
-            return False
-        snapshot, _next_seq, _journal_bytes, generation, failed = loaded
-        if failed:
-            return False
-        new_generation = generation + 1
-        apps_by_env: dict[str, list[str]] = {}
-        for app_name, app_record in snapshot.apps.items():
-            if not isinstance(app_record, dict):
-                continue
-            env = app_record.get("environment", "")
-            apps_by_env.setdefault(env, []).append(app_name)
-        meta_apps: dict[str, dict] = {}
-        shard_files: dict[str, str] = {}
-        position = 0
-        for env, app_names in apps_by_env.items():
-            source = snapshot.shards.get(env)
-            if source is None:
-                continue  # directory debris without a shard: GC'd
-            shard_apps: dict[str, dict] = {}
-            for app_name in app_names:
-                entry = source.get("apps", {}).get(app_name)
-                if entry is None:
-                    continue  # listed but absent from the shard: GC'd
-                shard_apps[app_name] = entry
-                meta_apps[app_name] = {
-                    "environment": env,
-                    "fingerprint": snapshot.apps[app_name].get(
-                        "fingerprint"
-                    ),
-                }
-            if not shard_apps:
-                continue
-            filename = f"shard-{new_generation:06d}-{position:04d}.json"
-            position += 1
-            shard_files[env] = filename
-            self._write_atomic(
-                filename,
-                {
-                    "environment": env,
-                    "apps": shard_apps,
-                    "caches": source.get(
-                        "caches", journal_format.empty_caches()
-                    ),
-                },
-            )
-        meta_apps = {
-            app_name: meta_apps[app_name]
-            for app_name in snapshot.apps
-            if app_name in meta_apps
-        }
-        self._write_atomic(
-            _META_FILE,
-            {
-                "format": STORE_FORMAT,
-                "schema": SCHEMA_VERSION,
-                "generation": new_generation,
-                "apps": meta_apps,
-                "shards": shard_files,
-                "frontend": snapshot.frontend,
-            },
-        )
-        self.backend.delete(_JOURNAL_FILE)
-        keep = set(shard_files.values())
-        for stale in self.backend.list_docs("shard-"):
-            if stale not in keep:
-                self.backend.delete(stale)
-        self.backend.sweep()
-        persisted: dict[str, set[tuple]] = {
-            kind: set() for kind in journal_format.CACHE_KINDS
-        }
-        for env in shard_files:
-            caches = snapshot.shards[env].get("caches", {})
-            for kind in journal_format.CACHE_KINDS:
-                for entry in caches.get(kind, []):
-                    persisted[kind].add(tuple(entry[0]))
-        self._journal = _JournalState(
-            base=new_generation,
-            next_seq=0,
-            records=0,
-            bytes=0,
-            persisted=persisted,
-        )
-        return True
 
     # ------------------------------------------------------------------
     # Loading
@@ -920,35 +824,18 @@ class DetectionStore:
         loaded = self._load(environments)
         return None if loaded is None else loaded[0]
 
-    def load_shard_index(
-        self, environment: str, resolver: DeviceResolver
-    ) -> tuple[dict[str, RuleSet], RuleIndex] | None:
-        """Rebuild a single home's rulesets and inverted index straight
-        from its shard — the per-home query path: nothing outside the
-        shard (plus the journal tail) is read, and the index buckets
-        are re-derived by re-signing under the *current* resolver, so
-        they can never disagree with the live bindings."""
-        snapshot = self.load(environments=[environment])
-        if snapshot is None or environment not in snapshot.shards:
-            return None
-        rulesets = snapshot.rulesets()
-        index = RuleIndex()
-        builder = SignatureBuilder(resolver)
-        for ruleset in rulesets.values():
-            index.add_ruleset(builder.sign_ruleset(ruleset))
-        return rulesets, index
-
     # ------------------------------------------------------------------
     # Warm start
 
-    def _validate(
+    def _import_warm(
         self,
         pipeline: DetectionPipeline,
         snapshot: StoreSnapshot,
         rulesets: Iterable[RuleSet],
     ) -> tuple[list[str], list[str]]:
         """Split apps into warm (persisted fingerprint matches the
-        current bindings) and stale (everything else)."""
+        current bindings) and stale (everything else), and import the
+        persisted solve-cache entries that touch only warm apps."""
         resolver = pipeline.engine.resolver
         warm: list[str] = []
         stale: list[str] = []
@@ -961,6 +848,9 @@ class DetectionStore:
                 warm.append(ruleset.app_name)
             else:
                 stale.append(ruleset.app_name)
+        valid = set(warm)
+        for payload in snapshot.cache_payloads():
+            pipeline.engine.import_caches(payload, valid)
         return warm, stale
 
     def warm_start(
@@ -1001,10 +891,7 @@ class DetectionStore:
             )
         if rulesets is None:
             rulesets = list(snapshot.rulesets().values())
-        warm, stale = self._validate(pipeline, snapshot, rulesets)
-        valid = set(warm)
-        for payload in snapshot.cache_payloads():
-            pipeline.engine.import_caches(payload, valid)
+        warm, stale = self._import_warm(pipeline, snapshot, rulesets)
         reports = pipeline.audit_store(rulesets)
         return WarmStart(
             pipeline=pipeline,
@@ -1046,10 +933,8 @@ class DetectionStore:
             )
         if rulesets is None:
             rulesets = list(snapshot.rulesets().values())
-        warm, stale = self._validate(pipeline, snapshot, rulesets)
+        warm, stale = self._import_warm(pipeline, snapshot, rulesets)
         valid = set(warm)
-        for payload in snapshot.cache_payloads():
-            pipeline.engine.import_caches(payload, valid)
         reports: list[ThreatReport] = []
         for ruleset in rulesets:
             if ruleset.app_name in valid:

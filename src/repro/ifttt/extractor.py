@@ -189,15 +189,6 @@ def _build_action(applet: Applet, words: tuple[str, ...]) -> Action:
     )
 
 
-def action_type_hint(applet_text: str) -> str | None:
-    """The device-type hint for the applet's action (for resolvers)."""
-    words = tuple(normalize_text(applet_text))
-    payload = _match_phrase(words, _ACTION_LEXICON)
-    if payload is None:
-        return None
-    return payload[3] or None
-
-
 def normalize_text(text: str) -> list[str]:
     from repro.ifttt.nlp import normalize
 

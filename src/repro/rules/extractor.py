@@ -71,9 +71,6 @@ class RuleExtractor:
         report = self._cache.get(app_name)
         return report.ruleset if report else None
 
-    def known_apps(self) -> list[str]:
-        return sorted(self._cache)
-
 
 def extract_rules(source: str, app_name: str | None = None) -> RuleSet:
     """One-shot extraction convenience wrapper."""

@@ -29,7 +29,7 @@ from repro.config.recorder import ConfigRecorder, RuleRecorder
 from repro.config.uri import ConfigPayload, decode_uri
 from repro.detector.chains import AllowedList, find_chains
 from repro.detector.pipeline import DetectionPipeline
-from repro.detector.store import DetectionStore
+from repro.detector.store import DetectionStore, StoreCommit
 from repro.detector.types import Threat, ThreatType
 from repro.monitor.engine import MonitorEngine, Observation
 from repro.monitor.rules import (
@@ -145,7 +145,6 @@ class TenantHome:
         policy: "HandlingPolicy | None" = None,
         shared_cache=None,
         store_backend=None,
-        store_delta: bool = True,
     ) -> None:
         self.home_id = home_id
         self.backend = backend
@@ -165,11 +164,10 @@ class TenantHome:
         )
         # Optional persistence: decisions append delta records to the
         # store journal (``store_backend`` picks the storage engine,
-        # DESIGN.md §14; ``store_delta=False`` forces the eager
-        # full-rewrite path), and :meth:`load_store` warm-starts a
-        # fresh process from the last base + journal (DESIGN.md §8).
+        # DESIGN.md §14), and :meth:`load_store` warm-starts a fresh
+        # process from the last base + journal (DESIGN.md §8).
         self.store = (
-            DetectionStore(store_path, backend=store_backend, delta=store_delta)
+            DetectionStore(store_path, backend=store_backend)
             if store_path is not None
             else None
         )
@@ -531,14 +529,13 @@ class TenantHome:
         record — O(blob), never a shard rewrite (DESIGN.md §16)."""
         if self.store is None:
             return
-        receipt = self.store.commit_frontend(
-            self.pipeline,
-            self._frontend_blob(),
-            rulesets=self.rule_recorder.rulesets,
+        self._account_store(
+            self.store.commit_frontend(
+                self.pipeline,
+                self._frontend_blob(),
+                rulesets=self.rule_recorder.rulesets,
+            )
         )
-        stats = self.pipeline.stats
-        stats.store_bytes_written += receipt.bytes_written
-        stats.store_commit_seconds += receipt.seconds
 
     # ------------------------------------------------------------------
     # Persistence (save-on-commit / load-on-startup, DESIGN.md §8)
@@ -619,9 +616,9 @@ class TenantHome:
             rulesets=self.rule_recorder.rulesets,
             frontend=self._frontend_blob(),
         )
-        stats = self.pipeline.stats
-        stats.store_bytes_written += written
-        stats.store_commit_seconds += time.perf_counter() - started
+        self._account_store(
+            StoreCommit(written, time.perf_counter() - started, full=True)
+        )
 
     def _commit_store(self, app_name: str, remove: bool = False) -> None:
         """Durably record one decision — the delta path: O(changed app)
@@ -629,13 +626,18 @@ class TenantHome:
         without a ``store_path``)."""
         if self.store is None:
             return
-        receipt = self.store.commit_app(
-            self.pipeline,
-            app_name,
-            rulesets=self.rule_recorder.rulesets,
-            frontend=self._frontend_blob(),
-            remove=remove,
+        self._account_store(
+            self.store.commit_app(
+                self.pipeline,
+                app_name,
+                rulesets=self.rule_recorder.rulesets,
+                frontend=self._frontend_blob(),
+                remove=remove,
+            )
         )
+
+    def _account_store(self, receipt: StoreCommit) -> None:
+        """Fold one durable write into the store-cost counters."""
         stats = self.pipeline.stats
         stats.store_bytes_written += receipt.bytes_written
         stats.store_commit_seconds += receipt.seconds

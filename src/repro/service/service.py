@@ -139,11 +139,6 @@ class HomeGuardService:
         explicitly, or a :class:`~repro.detector.storage
         .SQLiteStoreBackend` instance to share with another
         controller.
-    store_delta:
-        ``True`` (default) appends per-commit delta records to each
-        home's store journal; ``False`` rewrites the full snapshot on
-        every decision (the eager reference path — byte-identical
-        final state, O(store) commit cost).
     max_resident_homes:
         Optional bound on *resident* tenant homes (lazy shard
         loading, DESIGN.md §14).  Created homes are registered
@@ -170,7 +165,6 @@ class HomeGuardService:
         policy: HandlingPolicy | None = None,
         solve_cache: str | SolveCacheBackend | None = None,
         store_backend: "str | SQLiteStoreBackend | None" = None,
-        store_delta: bool = True,
         max_resident_homes: int | None = None,
     ) -> None:
         self.extractor = extractor if extractor is not None else RuleExtractor()
@@ -179,10 +173,6 @@ class HomeGuardService:
         self.store_root = None if store_root is None else Path(store_root)
         self.default_policy = policy if policy is not None else InteractivePolicy()
         self.store_backend = store_backend
-        # ``store_delta=False`` opts the fleet out of journaled delta
-        # commits: every decision rewrites the home's full snapshot
-        # (the pre-§14 behavior — the byte-equality reference arm).
-        self.store_delta = store_delta
         self.max_resident_homes = max_resident_homes
         # One fleet-wide store database (when configured): every home
         # persists through a namespace view over this single backend —
@@ -286,7 +276,6 @@ class HomeGuardService:
             policy=record.policy,
             shared_cache=self.solve_cache,
             store_backend=record.store_backend,
-            store_delta=self.store_delta,
         )
         if load and home.store is not None:
             home.load_store()

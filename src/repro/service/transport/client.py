@@ -37,7 +37,6 @@ import http.client
 import itertools
 import json
 import time
-from typing import Iterable
 
 from repro.resilience import RetryPolicy
 from repro.service.errors import (
@@ -401,18 +400,3 @@ class AsyncFleetClient:
         if close:
             await self.close()
         return status, body
-
-
-async def gather_calls(
-    clients: Iterable[AsyncFleetClient],
-    method: str,
-    params_of,
-) -> list[tuple[object, ServiceError | None]]:
-    """Fire ``method`` once per client concurrently; ``params_of`` maps
-    each client index to its params.  Bench helper."""
-    return await asyncio.gather(
-        *(
-            client.call(method, params_of(index))
-            for index, client in enumerate(clients)
-        )
-    )

@@ -152,6 +152,3 @@ class AdmissionController:
         else:
             self._inflight.pop(tenant, None)
         self.inflight_total = max(0, self.inflight_total - 1)
-
-    def inflight_of(self, tenant: str) -> int:
-        return self._inflight.get(tenant, 0)

@@ -200,16 +200,3 @@ LOCATION_PROPERTIES: dict[str, str] = {
     "contactBookEnabled": "contact_book",
     "currentState": "state",
 }
-
-
-def modeled_api_count() -> int:
-    """Total modeled API methods — the paper reports 173 methods and 94
-    property accesses; our registry covers the subset exercised by the
-    corpus plus the full sink/scheduling tables."""
-    return (
-        len(SCHEDULING_APIS)
-        + len(SINK_APIS)
-        + len(PURE_APIS)
-        + len(TIME_PREDICATES)
-        + len(NOOP_APIS)
-    )

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 _COMPARISONS = {"==", "!=", "<", "<=", ">", ">="}
-_ARITHMETIC = {"+", "-", "*", "/", "%", "**"}
 _LOGICAL = {"&&", "||"}
 
 
@@ -200,10 +199,6 @@ class BinExpr(SymExpr):
     def is_logical(self) -> bool:
         return self.op in _LOGICAL
 
-    @property
-    def is_arithmetic(self) -> bool:
-        return self.op in _ARITHMETIC
-
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
 
@@ -275,20 +270,6 @@ def negate(expr: SymExpr) -> SymExpr:
         }[expr.op]
         return BinExpr(flipped, expr.left, expr.right)
     return NotExpr(expr)
-
-
-def mentions_event(expr: SymExpr) -> bool:
-    """Does the formula reference the triggering event's value?"""
-    return any(isinstance(node, (EventValue, EventAttr)) for node in expr.walk())
-
-
-def device_refs_in(expr: SymExpr) -> list[DeviceRef]:
-    """All distinct device references mentioned by the formula."""
-    seen: dict[str, DeviceRef] = {}
-    for node in expr.walk():
-        if isinstance(node, DeviceRef) and node.name not in seen:
-            seen[node.name] = node
-    return list(seen.values())
 
 
 # ----------------------------------------------------------------------

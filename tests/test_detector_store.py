@@ -12,7 +12,8 @@ The invariants under test:
   invalidates exactly the touched app;
 * the environment-sharded index is observably equivalent to the flat
   index, including the cross-environment identity corner case, and one
-  home's shard is loadable without reading any other shard file.
+  home's shard loads (and rebuilds its index) without reading any
+  other shard file.
 """
 
 import json
@@ -26,6 +27,7 @@ from repro.detector import (
     RuleIndex,
     ShardedRuleIndex,
 )
+from repro.detector.signature import SignatureBuilder
 from repro.detector.store import SCHEMA_VERSION, _pinned_inputs
 from repro.rules.extractor import RuleExtractor
 from repro.rules.model import RuleSet
@@ -317,7 +319,7 @@ def h(evt) { sw2.off() }
     assert sharded_pipeline.index.candidates(sig, exclude_app="OnApp") == []
 
 
-def test_load_shard_index_reads_one_shard_only(tmp_path):
+def test_partial_load_reads_one_shard_only(tmp_path):
     rulesets, resolver = build_store()
     store, pipeline, _ = _saved_store(tmp_path, rulesets, resolver)
     meta = json.loads((store.path / "meta.json").read_text(encoding="utf-8"))
@@ -328,9 +330,16 @@ def test_load_shard_index_reads_one_shard_only(tmp_path):
         if env != target_env:
             (store.path / filename).write_text("garbage", encoding="utf-8")
 
-    loaded = store.load_shard_index(target_env, resolver)
-    assert loaded is not None
-    shard_rulesets, shard_index = loaded
+    snapshot = store.load(environments=[target_env])
+    assert snapshot is not None
+    assert set(snapshot.shards) == {target_env}
+    shard_rulesets = snapshot.rulesets()
+    # Re-signed under the current resolver, the restored rulesets
+    # rebuild the home's index buckets.
+    shard_index = RuleIndex()
+    builder = SignatureBuilder(resolver)
+    for ruleset in shard_rulesets.values():
+        shard_index.add_ruleset(builder.sign_ruleset(ruleset))
     expected_apps = {
         app
         for app, record in meta["apps"].items()

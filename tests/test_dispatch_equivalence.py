@@ -128,7 +128,9 @@ BACKENDS = [
 ]
 
 
-@pytest.mark.parametrize("corpus_name", ["demo", "generated"])
+@pytest.mark.parametrize(
+    "corpus_name", ["demo", pytest.param("generated", marks=pytest.mark.slow)]
+)
 def test_backends_equivalent_to_inline(corpus_name, tmp_path):
     corpus = (
         _demo_corpus() if corpus_name == "demo" else _generated_corpus()
@@ -143,7 +145,9 @@ def test_backends_equivalent_to_inline(corpus_name, tmp_path):
         assert outcome["store"] == reference["store"], name
 
 
-@pytest.mark.parametrize("corpus_name", ["demo", "generated"])
+@pytest.mark.parametrize(
+    "corpus_name", ["demo", pytest.param("generated", marks=pytest.mark.slow)]
+)
 def test_shared_cache_backends_equivalent(corpus_name, tmp_path):
     # The shared cross-tenant solve cache (DESIGN.md §12) is a pure
     # performance feature too: with any backend, threats, exported

@@ -137,6 +137,7 @@ def test_recorder_identity_stable_across_reconfiguration():
     assert first == second
 
 
+@pytest.mark.slow
 def test_path_explosion_capped_gracefully():
     branches = "\n".join(
         f'    if (state.s{i}) {{ sw1.on() }} else {{ sw1.off() }}'

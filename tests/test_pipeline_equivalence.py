@@ -57,7 +57,10 @@ def _indexed(rulesets, hints, values):
 
 @pytest.mark.parametrize(
     "corpus",
-    ["demo", "benign+generated+malicious"],
+    [
+        "demo",
+        pytest.param("benign+generated+malicious", marks=pytest.mark.slow),
+    ],
 )
 def test_pipeline_matches_brute_force(corpus):
     if corpus == "demo":

@@ -81,7 +81,9 @@ def test_may_interfere_is_symmetric():
             ), (sig_a.rule_id, sig_b.rule_id)
 
 
-@pytest.mark.parametrize("corpus_name", ["demo", "generated"])
+@pytest.mark.parametrize(
+    "corpus_name", ["demo", pytest.param("generated", marks=pytest.mark.slow)]
+)
 def test_prescreened_pipeline_reports_brute_force_threat_set(corpus_name):
     # End to end: the prescreened pipeline's threat set still equals
     # the brute-force scan (which never prescreens), and the engine

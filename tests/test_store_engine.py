@@ -3,10 +3,11 @@ recovery, compaction, the SQLite KV backend, and LRU-bounded residency.
 
 The invariants under test:
 
-* per-commit delta journaling is *observably equivalent* to the eager
-  full-rewrite path: the canonical parsed store state (apps, shard
-  payloads, frontend — including dict order) is byte-identical, and a
-  warm start from a delta-built store replays with zero solver calls;
+* per-commit delta journaling is *observably equivalent* to the
+  full-save oracle (``tests/stores.py``): the canonical parsed store
+  state (apps, shard payloads, frontend — including dict order) is
+  byte-identical after every app and frontend commit, and a warm start
+  from a delta-built store replays with zero solver calls;
 * any truncation of the journal degrades to the state at some earlier
   commit boundary — the longest consistent prefix — never to a crash
   and never to a state that was not durably acknowledged;
@@ -24,6 +25,8 @@ The invariants under test:
 """
 
 import json
+import random
+import sqlite3
 import warnings
 
 import pytest
@@ -35,6 +38,7 @@ from repro.detector.storage import (
     SQLiteStoreBackend,
     make_store_backend,
 )
+from repro.runtime.events import Event
 from repro.service import (
     DecisionRequest,
     HomeGuardService,
@@ -42,6 +46,7 @@ from repro.service import (
     SeverityThresholdPolicy,
 )
 
+from tests.stores import FullSaveStore, full_save_homes
 from tests.test_detector_store import ZonedResolver, build_store
 
 KEEP_ALL = dict(policy=SeverityThresholdPolicy(threshold=10**6))
@@ -80,13 +85,15 @@ def canonical_state(store: DetectionStore) -> str | None:
 
 
 def drive_commits(
-    path, rulesets, resolver, backend=None, delta=True, removals=()
+    path, rulesets, resolver, backend=None, full_save=False, removals=()
 ):
     """Install apps one commit at a time (the incremental service flow)
-    against a store, then remove ``removals``.  Returns the pipeline,
-    the store, and the canonical state recorded after every commit."""
+    against a store — the full-save oracle with ``full_save`` — then
+    remove ``removals``.  Returns the pipeline, the store, and the
+    canonical state recorded after every commit."""
     pipeline = DetectionPipeline(resolver, index=ShardedRuleIndex())
-    store = DetectionStore(path, backend=backend, delta=delta)
+    store_cls = FullSaveStore if full_save else DetectionStore
+    store = store_cls(path, backend=backend)
     named = {r.app_name: r for r in rulesets}
     states = []
     for ruleset in rulesets:
@@ -109,7 +116,7 @@ def drive_commits(
 
 
 # ----------------------------------------------------------------------
-# Delta vs eager equivalence
+# Delta vs full-save oracle equivalence
 
 
 def test_delta_commits_equal_eager_full_saves(tmp_path):
@@ -119,7 +126,7 @@ def test_delta_commits_equal_eager_full_saves(tmp_path):
         tmp_path / "delta", rulesets, resolver, removals=removals
     )
     _, eager_store, _ = drive_commits(
-        tmp_path / "eager", rulesets, resolver, delta=False,
+        tmp_path / "eager", rulesets, resolver, full_save=True,
         removals=removals,
     )
     assert (delta_store.path / "journal.jsonl").is_file()
@@ -131,9 +138,9 @@ def test_delta_commits_equal_eager_full_saves(tmp_path):
 
 def test_recommit_moves_app_to_end_like_eager_save(tmp_path):
     rulesets, resolver = build_store(6)
-    for arm, delta in (("delta", True), ("eager", False)):
+    for arm, full_save in (("delta", False), ("eager", True)):
         pipeline, store, _ = drive_commits(
-            tmp_path / arm, rulesets, resolver, delta=delta
+            tmp_path / arm, rulesets, resolver, full_save=full_save
         )
         # Re-commit the very first app: installation order must rotate
         # it to the end, in the directory and in its shard.
@@ -148,6 +155,74 @@ def test_recommit_moves_app_to_end_like_eager_save(tmp_path):
     assert delta_state == canonical_state(DetectionStore(tmp_path / "eager"))
     apps = json.loads(delta_state)["apps"]
     assert list(apps)[-1] == rulesets[0].app_name
+
+
+def _frontend_commit_steps(store_root, tune_store=None):
+    """Drive one stored home through two interfering installs and
+    their decisions, then 20 seeded monitor batches (each one
+    frontend-only commit).  Yields the home's store path after every
+    step; ``tune_store`` sees the home's store before the first
+    commit."""
+    service = HomeGuardService(workers=None, store_root=store_root)
+    service.preload([app_by_name("ComfortTV"), app_by_name("ColdDefender")])
+    service.create_home("h1")
+    if tune_store is not None:
+        tune_store(service.home("h1").store)
+    tv = service.register_device("h1", "TV", "tv").device_id
+    service.register_device("h1", "Temp", "temperatureSensor")
+    window = service.register_device("h1", "Window", "windowOpener").device_id
+    for spec in (COMFORT_TV, COLD_DEFENDER):
+        session = service.install(InstallRequest(home_id="h1", **spec))
+        service.decide(DecisionRequest(
+            home_id="h1", session_id=session.session_id, decision="keep",
+        ))
+        yield store_root / "h1"
+    rng = random.Random(7)
+    now = 0.0
+    for batch in range(20):
+        events = []
+        for _ in range(8):
+            now += rng.uniform(1, 900)
+            subject, name, values = rng.choice([
+                (window, "switch", ["on", "off"]),
+                (tv, "switch", ["on", "off"]),
+                ("meter", "power", [0.0, 100.0, 1500.0]),
+                ("front", "lock", ["locked", "unlocked"]),
+            ])
+            events.append(Event(
+                subject=subject, name=name,
+                value=rng.choice(values), timestamp=now,
+            ))
+        service.home("h1").ingest_events(events, batch_id=f"b{batch}")
+        yield store_root / "h1"
+    service.close()
+
+
+def _generation(store_path) -> int:
+    meta = json.loads((store_path / "meta.json").read_text("utf-8"))
+    return meta["generation"]
+
+
+def test_frontend_commits_equal_full_saves(tmp_path):
+    def tune(store):
+        store.journal_max_records = 3  # compaction fires mid-monitoring
+
+    delta_states = [
+        (canonical_state(DetectionStore(path)), _generation(path))
+        for path in _frontend_commit_steps(tmp_path / "delta", tune)
+    ]
+    with full_save_homes():
+        oracle_states = [
+            canonical_state(DetectionStore(path))
+            for path in _frontend_commit_steps(tmp_path / "full")
+        ]
+    assert [state for state, _ in delta_states] == oracle_states
+    assert all(state is not None for state in oracle_states)
+    assert not (tmp_path / "full" / "h1" / "journal.jsonl").exists()
+    # Only frontend commits ran after the two decisions, so a later
+    # base generation proves commit_frontend compacted.
+    generations = [generation for _, generation in delta_states]
+    assert generations[-1] > generations[1]
 
 
 def test_warm_start_from_delta_store_zero_solver_calls(tmp_path):
@@ -409,6 +484,30 @@ def test_sqlite_corruption_degrades_to_cold_store(tmp_path):
     # The file is never deleted: diagnosis stays possible, and a
     # healthy controller sharing the path is never sabotaged.
     assert db.read_bytes().startswith(b"definitely not")
+
+
+def test_sqlite_failed_open_closes_its_connection(tmp_path, monkeypatch):
+    closed = []
+
+    class TrackedConnection(sqlite3.Connection):
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    connect = sqlite3.connect
+    monkeypatch.setattr(
+        sqlite3, "connect",
+        lambda *args, **kwargs: connect(
+            *args, factory=TrackedConnection, **kwargs
+        ),
+    )
+    db = tmp_path / "garbage.db"
+    db.write_bytes(b"definitely not a sqlite database" * 64)
+    # connect() succeeds on any file; the first PRAGMA then fails.
+    with pytest.warns(RuntimeWarning, match="degrading to a cold store"):
+        backend = SQLiteStoreBackend(db)
+    assert backend.breaker_state == "disabled"
+    assert len(closed) == 1
 
 
 # ----------------------------------------------------------------------
