@@ -9,18 +9,21 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 test:
 	$(PYTHON) -m pytest -x -q --durations=10
 
-# Dispatcher-, service- and monitor-equivalence tests under both the
-# default (randomized) and a pinned hash seed: set/dict iteration
-# order must never leak into the deterministic batch merge, into a
-# tenant home's results (threats, caches, store bytes), or into the
-# runtime monitor's observation stream (trace replay must stay
-# byte-identical to live ingestion).
+# Dispatcher-, service-, monitor- and store-equivalence tests under
+# both the default (randomized) and a pinned hash seed: set/dict
+# iteration order must never leak into the deterministic batch merge,
+# into a tenant home's results (threats, caches, store bytes — the
+# journal's frontend ops included), or into the runtime monitor's
+# observation stream (trace replay must stay byte-identical to live
+# ingestion).
 test-hashseed:
 	$(PYTHON) -m pytest -q tests/test_dispatch_equivalence.py \
-		tests/test_service_equivalence.py tests/test_monitor.py
+		tests/test_service_equivalence.py tests/test_monitor.py \
+		tests/test_store_engine.py
 	PYTHONHASHSEED=0 $(PYTHON) -m pytest -q \
 		tests/test_dispatch_equivalence.py \
-		tests/test_service_equivalence.py tests/test_monitor.py
+		tests/test_service_equivalence.py tests/test_monitor.py \
+		tests/test_store_engine.py
 
 # Fault-injection chaos battery (DESIGN.md §15): injected worker
 # crashes, hung solves, killed processes and backend I/O errors must

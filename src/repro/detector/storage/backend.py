@@ -144,11 +144,15 @@ class DirectoryBackend(StoreBackend):
         # as the OSError an interrupted append would raise (DESIGN.md
         # §15), matching the sqlite backend's "store.append" point.
         fault_hook("store.append")
-        self.path.mkdir(parents=True, exist_ok=True)
         target = self.path / key
-        fresh = not target.exists()
         data = line.encode("utf-8") + b"\n"
-        with open(target, "ab") as handle:
+        try:
+            handle = open(target, "ab")
+        except FileNotFoundError:
+            self.path.mkdir(parents=True, exist_ok=True)
+            handle = open(target, "ab")
+        with handle:
+            fresh = handle.tell() == 0
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())

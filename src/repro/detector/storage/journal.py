@@ -11,16 +11,34 @@ per line)::
      "ruleset": [...], "signatures": [...],
      "cache_add": {"situation": [[ids, result], ...], ...},
      "cache_drop": {"situation": [ids, ...], ...},
-     "frontend": {...}}
+     "frontend_ops": [...]}
 
-    {"seq": N, "base": G, "op": "remove", "app": ..., "frontend": {...}}
+    {"seq": N, "base": G, "op": "remove", "app": ..., "frontend_ops": [...]}
 
-    {"seq": N, "base": G, "op": "frontend", "frontend": {...}}
+    {"seq": N, "base": G, "op": "frontend", "frontend_ops": [...]}
 
-(the ``frontend`` op replaces only the opaque frontend blob — the
-O(delta) persistence path for frontend-side state that changes without
-any detection change, e.g. the runtime monitor's observation ledger,
-DESIGN.md §16).
+``frontend_ops`` (optional on ``commit``/``remove``) edits the frontend
+blob — the companion app's state, laid out by
+:meth:`repro.service.home.TenantHome._frontend_blob` — one section at a
+time, so a commit writes what changed, never the whole blob (store
+format v4).  The ops, applied in order::
+
+    ["put", section, key, value]   # payloads / device_types / home_devices
+    ["drop", section, key]
+    ["allow", [[type, rule_a, rule_b], ...]]     # append Allowed pairs
+    ["review", index, entry]       # replace; index == len appends
+    ["monitor", {"observations": [...],          # ledger entries to append
+                 "batches": [...], "memory": M,  # dedup keys, keep last M
+                 "watch": {threat_key: ts}}]     # new watch starts
+
+``put`` and ``drop`` have dict semantics: a put assigns in place when
+the key exists and appends it otherwise (``payloads`` is a list keyed
+by each entry's ``"app"``).  A key that moved is dropped and put again,
+exactly where the live dict popped and reinserted it.  Every
+``monitor`` field is optional; the op always creates
+``extra.monitor.{batches,watch}`` as the live home does.  Store format
+v3 records instead carried the whole blob (``"frontend": {...}``),
+replacing it on replay; that reader stays so v3 stores still load.
 
 ``base`` pins the meta generation the record extends: records from
 before a compaction (whose meta bumped the generation) are inert, so
@@ -70,7 +88,6 @@ def commit_record(
     signatures: list,
     cache_add: dict[str, list],
     cache_drop: dict[str, list],
-    frontend: dict,
 ) -> dict:
     return {
         "seq": seq,
@@ -83,27 +100,109 @@ def commit_record(
         "signatures": signatures,
         "cache_add": cache_add,
         "cache_drop": cache_drop,
-        "frontend": frontend,
     }
 
 
-def remove_record(seq: int, base: int, app: str, frontend: dict) -> dict:
-    return {
-        "seq": seq,
-        "base": base,
-        "op": "remove",
-        "app": app,
-        "frontend": frontend,
-    }
+def remove_record(seq: int, base: int, app: str) -> dict:
+    return {"seq": seq, "base": base, "op": "remove", "app": app}
 
 
-def frontend_record(seq: int, base: int, frontend: dict) -> dict:
-    return {
-        "seq": seq,
-        "base": base,
-        "op": "frontend",
-        "frontend": frontend,
-    }
+def frontend_record(seq: int, base: int) -> dict:
+    return {"seq": seq, "base": base, "op": "frontend"}
+
+
+# ----------------------------------------------------------------------
+# Frontend ops
+
+#: Where each put/drop section lives in the blob.
+_SECTIONS = {
+    "payloads": ("payloads",),
+    "device_types": ("device_types",),
+    "home_devices": ("extra", "home_devices"),
+}
+
+
+def _container(blob: dict, path: tuple, empty):
+    node = blob
+    for name in path[:-1]:
+        node = node.setdefault(name, {})
+    found = node.setdefault(path[-1], empty)
+    if not isinstance(found, type(empty)):
+        raise ValueError(f"frontend section {path!r} is not a {type(empty)}")
+    return found
+
+
+def _keyed(section: str, blob: dict):
+    path = _SECTIONS[section]
+    return _container(blob, path, [] if section == "payloads" else {})
+
+
+def _payload_index(payloads: list, app) -> int | None:
+    for index, entry in enumerate(payloads):
+        if isinstance(entry, dict) and entry.get("app") == app:
+            return index
+    return None
+
+
+def _apply_frontend_op(blob: dict, op: list) -> None:
+    name = op[0]
+    if name == "put":
+        _, section, key, value = op
+        target = _keyed(section, blob)
+        if isinstance(target, list):
+            index = _payload_index(target, key)
+            if index is None:
+                target.append(value)
+            else:
+                target[index] = value
+        else:
+            target[key] = value
+    elif name == "drop":
+        _, section, key = op
+        target = _keyed(section, blob)
+        if isinstance(target, list):
+            index = _payload_index(target, key)
+            if index is not None:
+                del target[index]
+        else:
+            target.pop(key, None)
+    elif name == "allow":
+        _, pairs = op
+        _container(blob, ("allowed",), []).extend(pairs)
+    elif name == "review":
+        _, index, entry = op
+        reviews = _container(blob, ("reviews",), [])
+        if index == len(reviews):
+            reviews.append(entry)
+        elif 0 <= index < len(reviews):
+            reviews[index] = entry
+        else:
+            raise ValueError(f"review index {index} past the history")
+    elif name == "monitor":
+        _, change = op
+        extra = _container(blob, ("extra",), {})
+        state = _container(extra, ("monitor",), {})
+        batches = _container(state, ("batches",), [])
+        watch = _container(state, ("watch",), {})
+        if "observations" in change:
+            _container(extra, ("observations",), []).extend(
+                change["observations"]
+            )
+        if "batches" in change:
+            batches.extend(change["batches"])
+            # The live trim, verbatim (``memory`` 0 keeps everything).
+            del batches[: -int(change["memory"])]
+        watch.update(change.get("watch", {}))
+    else:
+        raise ValueError(f"unknown frontend op {name!r}")
+
+
+def apply_frontend_ops(blob: dict, ops: list) -> None:
+    """Apply one record's frontend ops to ``blob`` in place.  Raises
+    on a malformed op; the caller treats that as the end of the
+    consistent prefix."""
+    for op in ops:
+        _apply_frontend_op(blob, op)
 
 
 def _first_app(rule_ids: list) -> str | None:
@@ -123,21 +222,27 @@ def apply_record(
 
     ``apps``/``shards`` are the store's app directory and loaded shard
     payloads, mutated in place; ``frontend_box`` is a one-slot list
-    holding the current frontend blob; ``wanted`` is the optional
-    environment filter of :meth:`DetectionStore.load` — shard edits for
-    unloaded environments are skipped, directory and frontend updates
-    always apply.  Raises on a malformed record; the caller treats that
+    holding the current frontend blob (v3 records replace it, v4 ops
+    edit it in place); ``wanted`` is the optional environment filter
+    of :meth:`DetectionStore.load` — shard edits for unloaded
+    environments are skipped, directory and frontend updates always
+    apply.  Raises on a malformed record; the caller treats that
     as the end of the consistent prefix."""
     op = record["op"]
+    # A v3 record carries the whole blob and replaces it; a v4 record
+    # carries the ops that edit it.
     frontend = record.get("frontend")
     if isinstance(frontend, dict):
         frontend_box[0] = frontend
+    ops = record.get("frontend_ops")
+    if ops is not None:
+        apply_frontend_ops(frontend_box[0], ops)
 
     if op == "frontend":
         # Frontend-only delta: nothing but the blob changes.  A record
-        # without a blob is malformed (ends the consistent prefix).
-        if not isinstance(frontend, dict):
-            raise ValueError("frontend record without a frontend blob")
+        # that changes no blob is malformed (ends the consistent prefix).
+        if not isinstance(frontend, dict) and not isinstance(ops, list):
+            raise ValueError("frontend record without frontend ops")
         return
 
     app = str(record["app"])

@@ -11,7 +11,7 @@ on-disk store, so a fresh process can *warm-start* and re-audit an
 unchanged 5k-app store with **zero solver calls** while reporting the
 exact same threat set as the cold run.
 
-On-disk format (schema version 3)
+On-disk format (schema version 4)
 ---------------------------------
 
 A store is a set of named documents plus an append-only journal,
@@ -33,10 +33,12 @@ one shareable WAL-mode database file instead).
 ``meta.json`` holds ``{"format", "schema", "generation", "apps": {app:
 {"environment", "fingerprint"}}, "shards": {environment: filename},
 "frontend": {...}}`` — the app directory is ordered by installation,
-and ``frontend`` is an opaque blob the companion app uses for its
-configuration recorder, Allowed list and review/decision history (past
-install screens and the user's keep/delete choices re-render after a
-warm restart; see :meth:`repro.service.home.TenantHome.save_store`).
+and ``frontend`` is the blob the companion app uses for its
+configuration recorder, Allowed list, review/decision history and
+monitor ledger (past install screens and the user's keep/delete choices
+re-render after a warm restart; see :meth:`repro.service.home
+.TenantHome.save_store`).  Commits journal that blob's changes as
+section ops (:class:`FrontendDelta`), never the blob itself.
 
 Each shard file carries one environment's slice of the detection state:
 the serialized rulesets (loss-free, via :mod:`repro.rules
@@ -52,12 +54,14 @@ Delta snapshots and compaction
 :meth:`DetectionStore.save` rewrites the full snapshot (the *base*);
 :meth:`DetectionStore.commit_app` appends one compact delta record per
 keep/delete decision to the journal instead — O(changed app), not
-O(store).  :meth:`DetectionStore.load` replays the journal's longest
-consistent prefix over the base (see :mod:`repro.detector.storage
-.journal` for the record format and crash-recovery semantics), and a
-size-triggered **compaction** (or an explicit :meth:`DetectionStore
-.compact`) folds the journal back into fresh base shards, garbage-
-collecting deleted-app and decided-session debris.  Replay is exactly
+O(store) — and :meth:`DetectionStore.commit_frontend` one record per
+frontend-only change, O(change).  :meth:`DetectionStore.load` replays
+the journal's longest consistent prefix over the base (see
+:mod:`repro.detector.storage.journal` for the record format and
+crash-recovery semantics), and a size-triggered **compaction** (or an
+explicit :meth:`DetectionStore.compact`) folds the journal back into
+fresh base shards, garbage-collecting deleted-app and decided-session
+debris.  Replay is exactly
 equivalent to a full :meth:`DetectionStore.save` after every commit,
 so compaction never changes what a load observes.
 
@@ -109,7 +113,11 @@ STORE_FORMAT = "homeguard-detection-store"
 # v3: per-commit delta journals + pluggable backends (DESIGN.md §14) —
 # shard payloads dropped the persisted index buckets (re-signed on
 # load instead), so v2 readers must reject v3 stores and vice versa.
-SCHEMA_VERSION = 3
+# v4: journal records carry frontend section ops instead of the whole
+# frontend blob.  v3 stores still load; their first commit writes a v4
+# base.
+SCHEMA_VERSION = 4
+_READABLE_SCHEMAS = (3, 4)
 
 _META_FILE = "meta.json"
 _JOURNAL_FILE = "journal.jsonl"
@@ -277,6 +285,24 @@ class WarmStart:
     warm_apps: list[str]      # fingerprint-validated, caches served
     stale_apps: list[str]     # re-signed and re-solved transparently
     cold: bool = False        # no usable snapshot at all
+
+
+@dataclass(slots=True)
+class FrontendDelta:
+    """One commit's change to the frontend blob.
+
+    ``ops`` are the journal's frontend ops (:mod:`repro.detector
+    .storage.journal`) that turn the durable blob into the live one, or
+    ``None`` when the caller has no durable baseline to diff against,
+    which makes the commit a full save.  ``blob`` builds the whole live
+    blob and runs only for seed and compaction saves.  ``on_durable``
+    runs once the change is durable, so the caller can advance what it
+    considers persisted; a commit that raises before that point leaves
+    the change to be journaled again."""
+
+    ops: list | None
+    blob: Callable[[], dict]
+    on_durable: Callable[[], None]
 
 
 @dataclass(slots=True)
@@ -567,7 +593,9 @@ class DetectionStore:
         base generation, surviving journal prefix length, and the set
         of cache keys the store currently persists per kind."""
         loaded = self._load()
-        if loaded is None:
+        if loaded is None or loaded[0].schema != SCHEMA_VERSION:
+            # Nothing to delta against, or a v3 base whose journal a v4
+            # record must not extend: the next commit writes a v4 base.
             self._journal = None
             return
         snapshot, next_seq, journal_bytes, generation, _failed = loaded
@@ -575,44 +603,74 @@ class DetectionStore:
             generation, snapshot.shards.values(), next_seq, journal_bytes
         )
 
+    def _durable_frontend(self) -> dict:
+        """The frontend blob as durably stored (base plus journal ops),
+        read without parsing a single shard."""
+        loaded = self._load(environments=())
+        return {} if loaded is None else loaded[0].frontend
+
+    def _save_commit(
+        self,
+        pipeline: DetectionPipeline,
+        rulesets: Mapping[str, RuleSet] | None,
+        frontend: FrontendDelta | None,
+    ) -> int:
+        """A full save standing in for (or folding after) a commit: the
+        live blob when the commit carries a frontend change, the durable
+        one otherwise."""
+        blob = (
+            self._durable_frontend() if frontend is None else frontend.blob()
+        )
+        written = self.save(pipeline, rulesets=rulesets, frontend=blob)
+        if frontend is not None:
+            frontend.on_durable()
+        return written
+
     def _append(
         self,
         pipeline: DetectionPipeline,
-        build_record: Callable[[int, int, dict], dict],
+        build_record: Callable[[int, int], dict],
         rulesets: Mapping[str, RuleSet] | None,
-        frontend: dict | None,
+        frontend: FrontendDelta | None,
     ) -> StoreCommit:
-        """Append ``build_record(seq, base, frontend)``'s journal record.
+        """Append ``build_record(seq, base)``'s journal record, with the
+        frontend ops attached.
 
         Seeds a base with a full :meth:`save` instead when there is no
-        usable snapshot to delta against, and folds the journal into a
-        fresh base (compaction) when it outgrows ``journal_max_records``
-        / ``journal_max_bytes``.  :meth:`save` recomputes from the live
-        pipeline — the source of truth journal replay is equivalent
-        to — so ``rulesets`` and ``frontend`` feed both full saves."""
+        usable snapshot to delta against (or a v3 one, which this
+        migrates) or the frontend change has no baseline, and folds the
+        journal into a fresh base (compaction) when it outgrows
+        ``journal_max_records`` / ``journal_max_bytes``.  :meth:`save`
+        recomputes from the live pipeline — the source of truth journal
+        replay is equivalent to — so ``rulesets`` and ``frontend`` feed
+        both full saves."""
         start = time.perf_counter()
         if self._journal is None:
             self._init_journal()
-        if self._journal is None:
-            written = self.save(pipeline, rulesets=rulesets, frontend=frontend)
+        if self._journal is None or (
+            frontend is not None and frontend.ops is None
+        ):
+            written = self._save_commit(pipeline, rulesets, frontend)
             return StoreCommit(
                 written, time.perf_counter() - start, full=True
             )
         state = self._journal
-        record = build_record(state.next_seq, state.base, frontend or {})
+        record = build_record(state.next_seq, state.base)
+        if frontend is not None and frontend.ops:
+            record["frontend_ops"] = frontend.ops
         line = json.dumps(record, default=str)
         written = self.backend.append_journal(_JOURNAL_FILE, line)
         state.next_seq += 1
         state.records += 1
         state.bytes += written
+        if frontend is not None:
+            frontend.on_durable()
         compacted = (
             state.records >= self.journal_max_records
             or state.bytes >= self.journal_max_bytes
         )
         if compacted:
-            written += self.save(
-                pipeline, rulesets=rulesets, frontend=frontend
-            )
+            written += self._save_commit(pipeline, rulesets, frontend)
         return StoreCommit(
             written, time.perf_counter() - start, compacted=compacted
         )
@@ -623,7 +681,7 @@ class DetectionStore:
         app_name: str,
         *,
         rulesets: Mapping[str, RuleSet] | None = None,
-        frontend: dict | None = None,
+        frontend: FrontendDelta | None = None,
         remove: bool = False,
     ) -> StoreCommit:
         """Durably record one keep/delete decision — O(changed app),
@@ -632,12 +690,13 @@ class DetectionStore:
         Appends a single delta record to the journal: the committed
         app's rules/signatures/fingerprint plus the solve-cache entries
         that appeared or vanished since the last durable state (or a
-        removal marker with the cache keys the app took with it).  A
-        load that replays the record observes exactly the state a full
-        :meth:`save` would have written (see :meth:`_append` for the
-        seeding and compaction saves)."""
+        removal marker with the cache keys the app took with it), and
+        the ``frontend`` ops, if any (without them the blob stays as
+        it is).  A load that replays the record observes exactly the
+        state a full :meth:`save` would have written (see
+        :meth:`_append` for the seeding and compaction saves)."""
 
-        def build_record(seq: int, base: int, frontend_blob: dict) -> dict:
+        def build_record(seq: int, base: int) -> dict:
             persisted = self._journal.persisted
             installed = pipeline.installed_signatures()
             if remove or app_name not in installed:
@@ -652,9 +711,7 @@ class DetectionStore:
                             for rule_id in key
                         )
                     }
-                return journal_format.remove_record(
-                    seq, base, app_name, frontend_blob
-                )
+                return journal_format.remove_record(seq, base, app_name)
             sigs = installed[app_name]
             ruleset = _ruleset_of(app_name, sigs, rulesets)
             fingerprint = self._fingerprint(
@@ -694,7 +751,6 @@ class DetectionStore:
                 [signature_record(sig) for sig in sigs],
                 cache_add,
                 cache_drop,
-                frontend_blob,
             )
 
         return self._append(pipeline, build_record, rulesets, frontend)
@@ -702,18 +758,24 @@ class DetectionStore:
     def commit_frontend(
         self,
         pipeline: DetectionPipeline,
-        frontend: dict,
+        frontend: FrontendDelta,
         *,
         rulesets: Mapping[str, RuleSet] | None = None,
     ) -> StoreCommit:
-        """Durably record a frontend-blob-only change — O(blob), no
-        shard or directory edits.
+        """Durably record a frontend-only change — O(change), no shard
+        or directory edits.
 
-        The delta path for state that lives entirely in the opaque
-        frontend blob, e.g. the runtime monitor's observation ledger
-        (DESIGN.md §16): one ``frontend`` journal record replaces the
-        blob on replay and touches nothing else.  Seeds and compacts
-        like :meth:`commit_app` (``rulesets`` feeds those full saves)."""
+        The delta path for state that lives entirely in the frontend
+        blob, e.g. the runtime monitor's observation ledger (DESIGN.md
+        §16): one ``frontend`` journal record carries the ops and
+        touches nothing else, and a change with no ops writes nothing.
+        Seeds and compacts like :meth:`commit_app` (``rulesets`` feeds
+        those full saves)."""
+        if frontend.ops == []:
+            if self._journal is None:
+                self._init_journal()
+            if self._journal is not None:
+                return StoreCommit(0, 0.0)
         return self._append(
             pipeline, journal_format.frontend_record, rulesets, frontend
         )
@@ -725,7 +787,8 @@ class DetectionStore:
         self, environments: Iterable[str] | None = None
     ) -> "tuple[StoreSnapshot, int, int, int, set[str]] | None":
         """Parse base snapshot + journal replay; ``None`` when the
-        store is missing, corrupted, or a different schema version.
+        store is missing, corrupted, or a schema version this reader
+        does not know.
 
         Returns ``(snapshot, next_seq, journal_bytes, generation,
         failed_environments)`` — the extra fields seed
@@ -743,7 +806,7 @@ class DetectionStore:
             return None
         if meta.get("format") != STORE_FORMAT:
             return None
-        if meta.get("schema") != SCHEMA_VERSION:
+        if meta.get("schema") not in _READABLE_SCHEMAS:
             return None
         apps = meta.get("apps")
         shard_files = meta.get("shards")
@@ -814,8 +877,8 @@ class DetectionStore:
         self, environments: Iterable[str] | None = None
     ) -> StoreSnapshot | None:
         """Parse the store (base snapshot plus journal replay), or
-        ``None`` when it is missing, corrupted, or written by a
-        different schema version.
+        ``None`` when it is missing, corrupted, or written by a schema
+        version this reader does not know (v3 and v4 load).
 
         ``environments`` restricts parsing to the named shards — the
         multi-home fleet path where one install should not pay for the

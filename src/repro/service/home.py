@@ -18,10 +18,12 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import operator
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.capabilities.devices import make_device_id
 from repro.config.messaging import MessageRecord
@@ -29,7 +31,7 @@ from repro.config.recorder import ConfigRecorder, RuleRecorder
 from repro.config.uri import ConfigPayload, decode_uri
 from repro.detector.chains import AllowedList, find_chains
 from repro.detector.pipeline import DetectionPipeline
-from repro.detector.store import DetectionStore, StoreCommit
+from repro.detector.store import DetectionStore, FrontendDelta, StoreCommit
 from repro.detector.types import Threat, ThreatType
 from repro.monitor.engine import MonitorEngine, Observation
 from repro.monitor.rules import (
@@ -120,6 +122,66 @@ def _threat_from_record(record, rules_by_id) -> Threat | None:
         return None
 
 
+def _payload_entry(payload: ConfigPayload) -> dict:
+    return {
+        "app": payload.app_name,
+        "devices": dict(payload.devices),
+        "values": dict(payload.values),
+    }
+
+
+def _allowed_record(threat: Threat) -> list:
+    return [threat.type.value, threat.rule_a.rule_id, threat.rule_b.rule_id]
+
+
+def _keyed_ops(
+    section: str,
+    durable: Mapping,
+    live: Mapping,
+    same: Callable[[object, object], bool] = operator.eq,
+    render: Callable[[object], object] = lambda value: value,
+) -> list:
+    """The put/drop ops that turn ``durable`` into ``live`` with dict
+    semantics: keys live removed are dropped, changed values are put in
+    place, new keys are put at the end, and from the first key whose
+    order differs on, keys are dropped and put again — exactly the
+    order a pop plus reinsert leaves in the live dict."""
+    kept = [key for key in durable if key in live]
+    prefix = 0
+    for key in live:
+        if prefix == len(kept) or kept[prefix] != key:
+            break
+        prefix += 1
+    ops: list = [["drop", section, key] for key in durable if key not in live]
+    ops += [["drop", section, key] for key in kept[prefix:]]
+    for index, (key, value) in enumerate(live.items()):
+        if index >= prefix or not same(durable[key], value):
+            ops.append(["put", section, key, render(value)])
+    return ops
+
+
+def _payload_json(payload: ConfigPayload) -> str:
+    return json.dumps(_payload_entry(payload), default=str)
+
+
+@dataclass(slots=True)
+class _DurableFrontend:
+    """What of the frontend blob is already durable, as far as the
+    commit diff needs it: the small keyed sections by value, what each
+    review entry was rendered from, and lengths of the append-only
+    lists."""
+
+    payloads: dict[str, ConfigPayload]
+    device_types: dict[str, str]
+    home_devices: dict[str, dict]
+    extra_keys: tuple[str, ...]     # frontend_state's keys, in order
+    allowed: int
+    reviews: list[tuple]            # TenantHome._review_key per entry
+    observations: int
+    batches: int                    # TenantHome._batches_added
+    watch: int
+
+
 class TenantHome:
     """One home's full companion-app state inside the service.
 
@@ -184,6 +246,20 @@ class TenantHome:
         # restart can never double-count an observation.
         self.monitor: MonitorEngine | None = None
         self._monitor_stale = True
+        # Running views of the ledger, updated on ingest and rebuilt on
+        # load: per-threat [confirmed, contradicted] counts, the latest
+        # observation time, and batch key -> ledger positions of the
+        # batch's observations (the retry lookup).
+        self._tallies: dict[str, list[int]] = {}
+        self._latest = 0.0
+        self._batch_index: dict[str, Iterable[int]] = {}
+        self._batches_added = 0
+        # The durable frontend, diffed on every commit so a commit
+        # journals only what changed (``None``: no baseline, the next
+        # commit is a full save), and whether a review's rendering may
+        # have changed since (a decision, or a recorded-app change).
+        self._durable: _DurableFrontend | None = None
+        self._reviews_dirty = False
 
     # ------------------------------------------------------------------
     # Home devices
@@ -305,6 +381,7 @@ class TenantHome:
         handling policy for automatic verdicts (``None`` = the user)."""
         review.decision = decision.value
         review.decided_by = decided_by
+        self._reviews_dirty = True
         # Any decision can change the kept-threat set the monitor
         # watches; recompile its confirmation rules on next ingestion.
         self._monitor_stale = True
@@ -364,10 +441,13 @@ class TenantHome:
         blob: recent batch dedup keys and the per-threat watch-start
         timestamps (event time)."""
         state = self.frontend_state.setdefault("monitor", {})
-        if not isinstance(state.get("batches"), list):
-            state["batches"] = []
-        if not isinstance(state.get("watch"), dict):
-            state["watch"] = {}
+        for name, empty in (("batches", []), ("watch", {})):
+            if not isinstance(state.get(name), type(empty)):
+                if name in state:
+                    # Repairing a malformed persisted value is no op
+                    # the journal can express: resync with a full save.
+                    self._durable = None
+                state[name] = empty
         return state
 
     def _kept_threats(self) -> list[Threat]:
@@ -439,27 +519,31 @@ class TenantHome:
         engine = self.monitor_engine()
         state = self._monitor_state()
         key = batch_id or self._batch_key(events)
-        for recorded_key, observation_keys in state["batches"]:
-            if recorded_key == key:
-                by_key = {
-                    entry.get("key"): entry
-                    for entry in self.frontend_state.get("observations", [])
-                    if isinstance(entry, dict)
-                }
-                replayed = [
-                    Observation.from_json(by_key[obs_key])
-                    for obs_key in observation_keys
-                    if obs_key in by_key
-                ]
-                # The original attempt may have died before its store
-                # commit landed; persisting again is idempotent.
-                self._commit_monitor_store()
-                return replayed
+        positions = self._batch_index.get(key)
+        if positions is not None:
+            ledger = self.frontend_state["observations"]
+            replayed = [
+                Observation.from_json(ledger[position])
+                for position in positions
+            ]
+            # The original attempt may have died before its store
+            # commit landed; committing again journals whatever of it
+            # is not durable yet.
+            self._commit_monitor_store()
+            return replayed
         fresh = engine.ingest_batch(events)
         ledger = self.frontend_state.setdefault("observations", [])
+        start = len(ledger)
         ledger.extend(observation.to_json() for observation in fresh)
-        state["batches"].append([key, [o.key for o in fresh]])
-        del state["batches"][: -self.monitor_batch_memory]
+        for entry in ledger[start:]:
+            self._tally(entry)
+        batches = state["batches"]
+        batches.append([key, [o.key for o in fresh]])
+        self._batches_added += 1
+        self._batch_index[key] = range(start, len(ledger))
+        for evicted, _ in batches[: -self.monitor_batch_memory]:
+            self._batch_index.pop(evicted, None)
+        del batches[: -self.monitor_batch_memory]
         stats = self.pipeline.stats
         stats.monitor_events += len(events)
         stats.monitor_observations += len(fresh)
@@ -483,23 +567,12 @@ class TenantHome:
 
     def evidence(self) -> dict[str, ThreatEvidence]:
         """What the monitor knows per predicted threat — the view the
-        evidence-aware handling policies consume.  Built straight from
-        persisted state, so it is correct even before (or without) a
-        live monitor engine."""
-        counts: dict[str, list[int]] = {}
-        latest = 0.0
-        for entry in self.frontend_state.get("observations", []):
-            if not isinstance(entry, dict):
-                continue
-            latest = max(latest, float(entry.get("timestamp", 0.0) or 0.0))
-            key = str(entry.get("threat_key") or "")
-            if not key:
-                continue
-            tally = counts.setdefault(key, [0, 0])
-            if entry.get("kind") == KIND_CONFIRMED:
-                tally[0] += 1
-            elif entry.get("kind") == KIND_CONTRADICTED:
-                tally[1] += 1
+        evidence-aware handling policies consume.  Built from the
+        running ledger tallies (rebuilt from persisted state on load),
+        so it is correct even before (or without) a live monitor
+        engine."""
+        counts = self._tallies
+        latest = self._latest
         monitor_state = self.frontend_state.get("monitor", {})
         watch = (
             monitor_state.get("watch", {})
@@ -524,15 +597,65 @@ class TenantHome:
             )
         return evidence
 
+    def _tally(self, entry) -> None:
+        """Fold one ledger entry into the running evidence views."""
+        if not isinstance(entry, dict):
+            return
+        try:
+            timestamp = float(entry.get("timestamp", 0.0) or 0.0)
+        except (TypeError, ValueError):
+            timestamp = 0.0  # malformed persisted entry: no time
+        self._latest = max(self._latest, timestamp)
+        key = str(entry.get("threat_key") or "")
+        if not key:
+            return
+        tally = self._tallies.setdefault(key, [0, 0])
+        if entry.get("kind") == KIND_CONFIRMED:
+            tally[0] += 1
+        elif entry.get("kind") == KIND_CONTRADICTED:
+            tally[1] += 1
+
+    def _index_ledger(self) -> None:
+        """Rebuild the running evidence views and the batch retry
+        index from the persisted ledger (after a load)."""
+        self._tallies = {}
+        self._latest = 0.0
+        self._batch_index = {}
+        ledger = self.frontend_state.get("observations", [])
+        if not isinstance(ledger, list):
+            return
+        position_of: dict = {}
+        for position, entry in enumerate(ledger):
+            self._tally(entry)
+            if isinstance(entry, dict):
+                position_of[entry.get("key")] = position
+        monitor_state = self.frontend_state.get("monitor", {})
+        batches = (
+            monitor_state.get("batches")
+            if isinstance(monitor_state, dict)
+            else None
+        )
+        for record in batches if isinstance(batches, list) else []:
+            try:
+                key, observation_keys = record
+                self._batch_index.setdefault(key, [
+                    position_of[obs_key]
+                    for obs_key in observation_keys
+                    if obs_key in position_of
+                ])
+            except (TypeError, ValueError):
+                continue  # malformed batch record: never matches
+
     def _commit_monitor_store(self) -> None:
-        """Persist the observation ledger as one frontend-only journal
-        record — O(blob), never a shard rewrite (DESIGN.md §16)."""
+        """Persist what the batch changed — new ledger entries, batch
+        keys and watch starts — as one frontend-only journal record:
+        O(batch), never a shard rewrite (DESIGN.md §16)."""
         if self.store is None:
             return
         self._account_store(
             self.store.commit_frontend(
                 self.pipeline,
-                self._frontend_blob(),
+                self._frontend_delta(),
                 rulesets=self.rule_recorder.rulesets,
             )
         )
@@ -546,6 +669,21 @@ class TenantHome:
         apps = {threat.rule_a.app_name, threat.rule_b.app_name}
         apps.update(rule.app_name for rule in threat.chain)
         return all(app in self.rule_recorder.rulesets for app in apps)
+
+    def _review_key(self, review: InstallReview) -> tuple:
+        """Everything a review's persisted entry depends on besides the
+        review itself: its decision and, since threat records of
+        unrecorded apps are pruned, which of its apps are recorded."""
+        apps = set()
+        for threat in (*review.threats, *review.chains):
+            apps.add(threat.rule_a.app_name)
+            apps.add(threat.rule_b.app_name)
+            apps.update(rule.app_name for rule in threat.chain)
+        return (
+            review.decision,
+            review.decided_by,
+            frozenset(apps.intersection(self.rule_recorder.rulesets)),
+        )
 
     def _review_entry(self, review: InstallReview) -> dict:
         """One review as its persisted frontend-blob entry.  The
@@ -571,23 +709,19 @@ class TenantHome:
         return entry
 
     def _frontend_blob(self) -> dict:
-        """The opaque frontend blob persisted with every snapshot and
-        every journal record: recorded payloads, device types, Allowed
-        list, review/decision history, and the facade's extra state."""
+        """The whole frontend blob, written by full saves (seed,
+        compaction, :meth:`save_store`); commits journal its changes
+        (:meth:`_frontend_delta`).  Recorded payloads, device types,
+        Allowed list, review/decision history, and the facade's extra
+        state."""
         return {
             "payloads": [
-                {
-                    "app": payload.app_name,
-                    "devices": dict(payload.devices),
-                    "values": dict(payload.values),
-                }
+                _payload_entry(payload)
                 for payload in self.config_recorder.payloads.values()
             ],
             "device_types": dict(self.config_recorder.device_types),
             "allowed": [
-                [threat.type.value, threat.rule_a.rule_id,
-                 threat.rule_b.rule_id]
-                for threat in self.allowed.pairs
+                _allowed_record(threat) for threat in self.allowed.pairs
             ],
             # Review/decision history: every install screen shown so
             # far, with the one-time decision (and the deciding policy,
@@ -605,6 +739,176 @@ class TenantHome:
             "extra": self.frontend_state,
         }
 
+    def _durable_image(self) -> _DurableFrontend:
+        """The durable-frontend view of the live state, for when all of
+        it just became durable (a full save, or a load that matched)."""
+        extra = self.frontend_state
+        devices = extra.get("home_devices")
+        ledger = extra.get("observations")
+        monitor_state = extra.get("monitor")
+        watch = (
+            monitor_state.get("watch")
+            if isinstance(monitor_state, dict)
+            else None
+        )
+        return _DurableFrontend(
+            payloads=dict(self.config_recorder.payloads),
+            device_types=dict(self.config_recorder.device_types),
+            home_devices=dict(devices) if isinstance(devices, dict) else {},
+            extra_keys=tuple(extra),
+            allowed=len(self.allowed.pairs),
+            reviews=[self._review_key(review) for review in self.reviews],
+            observations=len(ledger) if isinstance(ledger, list) else 0,
+            batches=self._batches_added,
+            watch=len(watch) if isinstance(watch, dict) else 0,
+        )
+
+    def _synced(self) -> None:
+        self._durable = self._durable_image()
+        self._reviews_dirty = False
+
+    def _frontend_delta(self) -> FrontendDelta:
+        """This commit's frontend change: the ops that turn the durable
+        blob into the live one, built from the durable view and cursors
+        into the append-only lists — O(change), not O(history).  With
+        no durable view (a fresh home, or a change the ops cannot
+        express) the delta asks for a full save instead."""
+        durable = self._durable
+        computed = None if durable is None else self._diff(durable)
+        if computed is None:
+            return FrontendDelta(None, self._frontend_blob, self._synced)
+        ops, advanced = computed
+
+        def on_durable() -> None:
+            self._durable = advanced
+            self._reviews_dirty = False
+
+        return FrontendDelta(ops, self._frontend_blob, on_durable)
+
+    def _diff(
+        self, durable: _DurableFrontend
+    ) -> "tuple[list, _DurableFrontend] | None":
+        """The frontend ops since ``durable`` and the durable view once
+        they land; ``None`` when the ops cannot express the change."""
+        payloads = self.config_recorder.payloads
+        ops = _keyed_ops(
+            "payloads", durable.payloads, payloads,
+            lambda old, new: old is new
+            or _payload_json(old) == _payload_json(new),
+            _payload_entry,
+        )
+        device_types = self.config_recorder.device_types
+        ops += _keyed_ops("device_types", durable.device_types, device_types)
+        pairs = self.allowed.pairs
+        if len(pairs) < durable.allowed or len(self.reviews) < len(
+            durable.reviews
+        ):
+            return None
+        if len(pairs) > durable.allowed:
+            ops.append(["allow", [
+                _allowed_record(threat) for threat in pairs[durable.allowed:]
+            ]])
+        # Reviews: new ones append; after a decision (or a change of
+        # the recorded apps, which prunes threat records) any earlier
+        # entry may render differently, so every key is compared.
+        reviews = durable.reviews
+        first = 0 if self._reviews_dirty else len(reviews)
+        for index in range(first, len(self.reviews)):
+            review = self.reviews[index]
+            key = self._review_key(review)
+            if index < len(durable.reviews) and reviews[index] == key:
+                continue
+            if reviews is durable.reviews:
+                reviews = list(reviews)
+            if index < len(reviews):
+                reviews[index] = key
+            else:
+                reviews.append(key)
+            ops.append(["review", index, self._review_entry(review)])
+        # The facade's extra state, in its key order: a key the ops
+        # create lands where the live dict created it.
+        extra = self.frontend_state
+        created: list[str] = []
+        home_devices = durable.home_devices
+        monitor_done = False
+        observations, batches, watch = (
+            durable.observations, durable.batches, durable.watch,
+        )
+        for key, value in extra.items():
+            if key == "home_devices" and isinstance(value, dict):
+                device_ops = _keyed_ops(
+                    "home_devices", durable.home_devices, value
+                )
+                if device_ops and key not in durable.extra_keys:
+                    created.append(key)
+                ops += device_ops
+                home_devices = dict(value)
+            elif key in ("monitor", "observations") and not monitor_done:
+                monitor_done = True
+                change = self._monitor_change(durable)
+                if change is None:
+                    return None
+                if change or "monitor" not in durable.extra_keys:
+                    ops.append(["monitor", change])
+                    created += [
+                        name
+                        for name in ("monitor", "observations")
+                        if name not in durable.extra_keys
+                        and (name == "monitor" or name in change)
+                    ]
+                observations = len(extra.get("observations") or ())
+                batches = self._batches_added
+                watch = len(extra["monitor"]["watch"])
+        if [*durable.extra_keys, *created] != list(extra):
+            return None
+        return ops, _DurableFrontend(
+            payloads=dict(payloads),
+            device_types=dict(device_types),
+            home_devices=home_devices,
+            extra_keys=tuple(extra),
+            allowed=len(pairs),
+            reviews=reviews,
+            observations=observations,
+            batches=batches,
+            watch=watch,
+        )
+
+    def _monitor_change(self, durable: _DurableFrontend) -> dict | None:
+        """The ``monitor`` op's payload since ``durable``: new ledger
+        entries, new batch records (replay trims them to
+        ``monitor_batch_memory`` as the live list was) and new watch
+        starts; ``None`` when the live state is not an append to the
+        durable one."""
+        extra = self.frontend_state
+        state = extra.get("monitor")
+        if not isinstance(state, dict):
+            return None
+        batches, watch = state.get("batches"), state.get("watch")
+        if not isinstance(batches, list) or not isinstance(watch, dict):
+            return None
+        change: dict = {}
+        if "observations" in extra:
+            ledger = extra["observations"]
+            if (
+                not isinstance(ledger, list)
+                or len(ledger) < durable.observations
+            ):
+                return None
+            if (
+                len(ledger) > durable.observations
+                or "observations" not in durable.extra_keys
+            ):
+                change["observations"] = ledger[durable.observations:]
+        added = self._batches_added - durable.batches
+        if added:
+            change["batches"] = batches[-added:]
+            change["memory"] = self.monitor_batch_memory
+        if len(watch) < durable.watch:
+            return None
+        if len(watch) > durable.watch:
+            change["watch"] = dict(islice(watch.items(), durable.watch, None))
+        return change
+
     def save_store(self) -> None:
         """Snapshot detection state + recorders to the configured store
         as a full base rewrite (a no-op without a ``store_path``)."""
@@ -616,14 +920,16 @@ class TenantHome:
             rulesets=self.rule_recorder.rulesets,
             frontend=self._frontend_blob(),
         )
+        self._synced()
         self._account_store(
             StoreCommit(written, time.perf_counter() - started, full=True)
         )
 
     def _commit_store(self, app_name: str, remove: bool = False) -> None:
-        """Durably record one decision — the delta path: O(changed app)
-        journal append instead of a full snapshot rewrite (a no-op
-        without a ``store_path``)."""
+        """Durably record one decision — the delta path: one journal
+        record with the app's detection delta and the frontend ops,
+        instead of a full snapshot rewrite (a no-op without a
+        ``store_path``)."""
         if self.store is None:
             return
         self._account_store(
@@ -631,7 +937,7 @@ class TenantHome:
                 self.pipeline,
                 app_name,
                 rulesets=self.rule_recorder.rulesets,
-                frontend=self._frontend_blob(),
+                frontend=self._frontend_delta(),
                 remove=remove,
             )
         )
@@ -759,4 +1065,15 @@ class TenantHome:
                     )
                 except (TypeError, KeyError):
                     continue  # malformed entry: that label won't resolve
+        self._index_ledger()
+        # The store holds exactly the live frontend unless the load
+        # changed something (stale apps re-reviewed, malformed entries
+        # skipped, or state that was here before): then the next
+        # commit is a full save.
+        if json.dumps(self._frontend_blob(), default=str) == json.dumps(
+            frontend, default=str
+        ):
+            self._synced()
+        else:
+            self._durable = None
         return result.warm_apps + result.stale_apps

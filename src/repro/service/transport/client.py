@@ -305,13 +305,15 @@ class AsyncFleetClient:
         )
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
+        # Forget the streams first, so a cancelled close still leaves
+        # the client disconnected (the next call reconnects).
+        writer, self._reader, self._writer = self._writer, None, None
+        if writer is not None:
+            writer.close()
             try:
-                await self._writer.wait_closed()
+                await writer.wait_closed()
             except (ConnectionError, OSError):
-                pass
-            self._reader = self._writer = None
+                pass  # the peer reset first: the socket is closed anyway
 
     async def __aenter__(self) -> "AsyncFleetClient":
         await self.connect()

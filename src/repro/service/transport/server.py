@@ -319,14 +319,15 @@ class FleetServer:
                 keep_alive = await self._handle_one(reader, writer)
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+        except ConnectionError:
+            pass  # the peer went away mid-request: the finally cleans up
         finally:
+            # Cancellation (loop shutdown) propagates after this cleanup.
             self._connections.discard(writer)
             try:
                 writer.close()
             except Exception:
-                pass
+                pass  # closing a broken transport: nothing left to free
 
     async def _read_head(self, reader: asyncio.StreamReader) -> bytes | None:
         """The raw request head, ``None`` for a clean EOF, or a
@@ -626,7 +627,7 @@ class FleetServer:
             try:
                 writer.close()
             except Exception:
-                pass
+                pass  # closing a broken transport: nothing left to free
         timings["write"] = time.perf_counter() - started
 
     def _account(

@@ -612,3 +612,91 @@ def test_monitor_ledger_is_invariant_to_batch_split():
     # The invariance is only as strong as what the stream exercises.
     kinds = {o.kind for o in observations}
     assert {KIND_CONFIRMED, KIND_ANOMALY} <= kinds
+
+
+# ----------------------------------------------------------------------
+# Running evidence tallies: equal to a rescan of the persisted ledger
+
+
+def _rescanned_evidence(home):
+    """``TenantHome.evidence()`` from scratch: one pass over the whole
+    persisted ledger and the watch starts."""
+    from repro.monitor import ThreatEvidence
+
+    counts, latest = {}, 0.0
+    for entry in home.frontend_state.get("observations", []):
+        latest = max(latest, float(entry.get("timestamp", 0.0) or 0.0))
+        key = str(entry.get("threat_key") or "")
+        if not key:
+            continue
+        tally = counts.setdefault(key, [0, 0])
+        if entry.get("kind") == KIND_CONFIRMED:
+            tally[0] += 1
+        elif entry.get("kind") == KIND_CONTRADICTED:
+            tally[1] += 1
+    watch = home.frontend_state.get("monitor", {}).get("watch", {})
+    if home.monitor is not None:
+        latest = max(latest, home.monitor.now())
+    return {
+        key: ThreatEvidence(
+            confirmed=counts.get(key, (0, 0))[0],
+            contradicted=counts.get(key, (0, 0))[1],
+            watch_seconds=(
+                max(0.0, latest - watch[key]) if key in watch else 0.0
+            ),
+        )
+        for key in set(counts) | set(watch)
+    }
+
+
+def test_evidence_tallies_equal_a_ledger_rescan(tmp_path):
+    service = HomeGuardService(
+        workers=None, store_root=tmp_path, max_resident_homes=1
+    )
+    service.preload([app_by_name("ComfortTV"), app_by_name("ColdDefender")])
+    service.create_home("h1")
+    tv = service.register_device("h1", "TV", "tv").device_id
+    service.register_device("h1", "Temp", "temperatureSensor")
+    window = service.register_device("h1", "Window", "windowOpener").device_id
+    for spec in (COMFORT_TV, COLD_DEFENDER):
+        session = service.install(InstallRequest(home_id="h1", **spec))
+        service.decide(DecisionRequest(
+            home_id="h1", session_id=session.session_id, decision="keep",
+        ))
+    stream = _seeded_stream(window, tv, count=1200, seed=5)
+    batches = [stream[start:start + 60] for start in range(0, 1200, 60)]
+    produced = {}
+    for index, batch in enumerate(batches):
+        home = service.home("h1")
+        produced[index] = home.ingest_events(batch, batch_id=f"b{index}")
+        assert home.evidence() == _rescanned_evidence(home)
+    evidence = service.home("h1").evidence()
+    assert any(tally.confirmed for tally in evidence.values())
+
+    # A retry replays the original batch and changes nothing.
+    home = service.home("h1")
+    assert home.ingest_events(batches[3], batch_id="b3") == produced[3]
+    assert home.evidence() == evidence == _rescanned_evidence(home)
+
+    # Eviction and reload rebuild the tallies and the retry index.
+    service.create_home("h2")
+    reloaded = service.home("h1")
+    assert reloaded is not home
+    assert reloaded.evidence() == _rescanned_evidence(reloaded)
+    assert reloaded.ingest_events(batches[7], batch_id="b7") == produced[7]
+
+    # A decision reopens the watch; later batches keep the tallies
+    # equal to the rescan.
+    session = service.install(InstallRequest(home_id="h1", **COLD_DEFENDER))
+    service.decide(DecisionRequest(
+        home_id="h1", session_id=session.session_id, decision="keep",
+    ))
+    home = service.home("h1")
+    tail = _seeded_stream(window, tv, count=300, seed=6)
+    offset = stream[-1].timestamp
+    home.ingest_events(
+        [ev(e.subject, e.name, e.value, e.timestamp + offset) for e in tail],
+        batch_id="tail",
+    )
+    assert home.evidence() == _rescanned_evidence(home)
+    service.close()

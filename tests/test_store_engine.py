@@ -26,13 +26,16 @@ The invariants under test:
 
 import json
 import random
+import shutil
 import sqlite3
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.corpus import app_by_name
 from repro.detector import DetectionPipeline, DetectionStore, ShardedRuleIndex
+from repro.detector.store import SCHEMA_VERSION
 from repro.detector.storage import (
     DirectoryBackend,
     SQLiteStoreBackend,
@@ -40,13 +43,16 @@ from repro.detector.storage import (
 )
 from repro.runtime.events import Event
 from repro.service import (
+    AuditRequest,
     DecisionRequest,
     HomeGuardService,
     InstallRequest,
     SeverityThresholdPolicy,
 )
 
-from tests.stores import FullSaveStore, full_save_homes
+from repro.testing.faults import FaultPlan, FaultSpec
+
+from tests.stores import FrontendMarker, FullSaveStore, full_save_homes
 from tests.test_detector_store import ZonedResolver, build_store
 
 KEEP_ALL = dict(policy=SeverityThresholdPolicy(threshold=10**6))
@@ -60,6 +66,24 @@ COLD_DEFENDER = dict(
     app_name="ColdDefender",
     devices={"tv2": "TV", "window2": "Window"},
     values={"weather": "rainy"},
+)
+
+CHAIN_APPS = (
+    dict(
+        app_name="SwitchChangesMode",
+        devices={"master": "Wall switch"},
+        values={"onMode": "Home", "offMode": "Away"},
+    ),
+    dict(
+        app_name="MakeItSo",
+        devices={"switches": "Wall switch", "locks": "Front lock"},
+        values={"targetMode": "Home", "heatSetpoint": 70},
+    ),
+    dict(
+        app_name="CurlingIron",
+        devices={"motion1": "Hall motion", "outlets": "Wall switch"},
+        values={"minutesLater": 30},
+    ),
 )
 
 
@@ -89,8 +113,11 @@ def drive_commits(
 ):
     """Install apps one commit at a time (the incremental service flow)
     against a store — the full-save oracle with ``full_save`` — then
-    remove ``removals``.  Returns the pipeline, the store, and the
-    canonical state recorded after every commit."""
+    remove ``removals``.  Each commit also marks its app in the
+    frontend blob (a put, and a drop on removal).  Returns the
+    pipeline, the store, and the canonical state recorded after every
+    commit."""
+    marker = FrontendMarker()
     pipeline = DetectionPipeline(resolver, index=ShardedRuleIndex())
     store_cls = FullSaveStore if full_save else DetectionStore
     store = store_cls(path, backend=backend)
@@ -101,7 +128,7 @@ def drive_commits(
         pipeline.commit(ruleset.app_name, ruleset)
         store.commit_app(
             pipeline, ruleset.app_name, rulesets=named,
-            frontend={"installed": ruleset.app_name},
+            frontend=marker.put(ruleset.app_name),
         )
         states.append(canonical_state(store))
     for app_name in removals:
@@ -109,7 +136,7 @@ def drive_commits(
         pipeline.remove_ruleset(app_name)
         store.commit_app(
             pipeline, app_name, rulesets=named,
-            frontend={"removed": app_name}, remove=True,
+            frontend=marker.drop(app_name), remove=True,
         )
         states.append(canonical_state(store))
     return pipeline, store, states
@@ -157,32 +184,56 @@ def test_recommit_moves_app_to_end_like_eager_save(tmp_path):
     assert list(apps)[-1] == rulesets[0].app_name
 
 
+MONITOR_PHASE = 20  # monitor batches right after the two decisions
+
+
 def _frontend_commit_steps(store_root, tune_store=None):
     """Drive one stored home through two interfering installs and
-    their decisions, then 20 seeded monitor batches (each one
-    frontend-only commit).  Yields the home's store path after every
-    step; ``tune_store`` sees the home's store before the first
-    commit."""
-    service = HomeGuardService(workers=None, store_root=store_root)
-    service.preload([app_by_name("ComfortTV"), app_by_name("ColdDefender")])
-    service.create_home("h1")
-    if tune_store is not None:
-        tune_store(service.home("h1").store)
+    their decisions, then ``MONITOR_PHASE`` seeded monitor batches
+    (each one frontend-only commit), then every other kind of frontend
+    change: two pending sessions decided out of order, a DELETE of a
+    kept app, a RECONFIGURE of it and its re-keep (the DELETE prunes
+    threat records in earlier reviews, the keep restores them), late
+    device registrations, Allowed-list growth and a chain, an audit,
+    and a warm reload mid-stream, with monitor batches between.
+    Yields ``(step, store path)`` after every step; ``tune_store`` sees
+    the home's store before its first commit (and after the reload)."""
+    path = store_root / "h1"
+
+    def open_service():
+        service = HomeGuardService(workers=None, store_root=store_root)
+        service.preload([
+            app_by_name(spec["app_name"])
+            for spec in (COMFORT_TV, COLD_DEFENDER, *CHAIN_APPS)
+        ])
+        service.create_home("h1")
+        # A short dedup memory, so the batch list is trimmed in-run.
+        service.home("h1").monitor_batch_memory = 8
+        if tune_store is not None:
+            tune_store(service.home("h1").store)
+        return service
+
+    service = open_service()
     tv = service.register_device("h1", "TV", "tv").device_id
     service.register_device("h1", "Temp", "temperatureSensor")
     window = service.register_device("h1", "Window", "windowOpener").device_id
-    for spec in (COMFORT_TV, COLD_DEFENDER):
-        session = service.install(InstallRequest(home_id="h1", **spec))
+
+    def install(spec):
+        return service.install(InstallRequest(home_id="h1", **spec))
+
+    def decide(session, decision):
         service.decide(DecisionRequest(
-            home_id="h1", session_id=session.session_id, decision="keep",
+            home_id="h1", session_id=session.session_id, decision=decision,
         ))
-        yield store_root / "h1"
+
     rng = random.Random(7)
-    now = 0.0
-    for batch in range(20):
+    clock = [0.0]
+    batches = iter(range(10**6))
+
+    def monitor_batch():
         events = []
         for _ in range(8):
-            now += rng.uniform(1, 900)
+            clock[0] += rng.uniform(1, 900)
             subject, name, values = rng.choice([
                 (window, "switch", ["on", "off"]),
                 (tv, "switch", ["on", "off"]),
@@ -191,10 +242,62 @@ def _frontend_commit_steps(store_root, tune_store=None):
             ])
             events.append(Event(
                 subject=subject, name=name,
-                value=rng.choice(values), timestamp=now,
+                value=rng.choice(values), timestamp=clock[0],
             ))
-        service.home("h1").ingest_events(events, batch_id=f"b{batch}")
-        yield store_root / "h1"
+        service.home("h1").ingest_events(
+            events, batch_id=f"b{next(batches)}"
+        )
+
+    for spec in (COMFORT_TV, COLD_DEFENDER):
+        decide(install(spec), "keep")
+        yield f"keep {spec['app_name']}", path
+    for batch in range(MONITOR_PHASE):
+        monitor_batch()
+        yield f"batch {batch}", path
+    first = install(COLD_DEFENDER)
+    second = install(COMFORT_TV)
+    decide(second, "keep")
+    yield "keep the second pending session", path
+    decide(first, "keep")
+    yield "keep the first pending session", path
+    decide(install(COLD_DEFENDER), "delete")
+    yield "delete kept ColdDefender", path
+    monitor_batch()
+    yield "batch after delete", path
+    # RECONFIGURE commits nothing; its review and recorded payload
+    # reach the store with the next commit.
+    decide(install(dict(COLD_DEFENDER, values={"weather": "sunny"})),
+           "reconfigure")
+    yield "reconfigure ColdDefender", path
+    monitor_batch()
+    yield "batch after reconfigure", path
+    service.register_device("h1", "Lamp", "switch")
+    decide(install(COLD_DEFENDER), "keep")
+    yield "keep ColdDefender again", path
+    # A covert-triggering pair joins the Allowed list, and the third
+    # app closes a chain through it (paper §VIII-B example 2).
+    for label, type_name in (
+        ("Wall switch", "switch"), ("Front lock", "doorLock"),
+        ("Hall motion", "motionSensor"),
+    ):
+        service.register_device("h1", label, type_name)
+    for spec in CHAIN_APPS:
+        decide(install(spec), "keep")
+        yield f"keep {spec['app_name']}", path
+    service.audit(AuditRequest(home_id="h1"))
+    yield "audit", path
+    monitor_batch()
+    yield "batch after audit", path
+    service.close()
+    service = open_service()
+    service.restore("h1")
+    yield "warm reload", path
+    for batch in range(4):
+        monitor_batch()
+        yield f"batch {batch} after reload", path
+    for spec in (COLD_DEFENDER, CHAIN_APPS[1]):
+        decide(install(spec), "delete")
+        yield f"delete {spec['app_name']} after reload", path
     service.close()
 
 
@@ -203,26 +306,159 @@ def _generation(store_path) -> int:
     return meta["generation"]
 
 
+def store_bytes(store_path) -> list[bytes]:
+    """A compacted store's documents as bytes — meta, then its shards
+    in meta order — with the base generation number masked, so stores
+    written at different generations compare byte for byte."""
+    meta_bytes = (store_path / "meta.json").read_bytes()
+    meta = json.loads(meta_bytes)
+    generation = meta["generation"]
+    masked = meta_bytes.replace(
+        f'"generation": {generation}'.encode(), b'"generation": G'
+    ).replace(f"-{generation:06d}-".encode(), b"-G-")
+    return [masked] + [
+        (store_path / name).read_bytes() for name in meta["shards"].values()
+    ]
+
+
+def _compacted_bytes(store_path, scratch) -> list[bytes]:
+    """Fold a copy of the store and return its bytes."""
+    shutil.rmtree(scratch, ignore_errors=True)
+    shutil.copytree(store_path, scratch)
+    assert DetectionStore(scratch).compact()
+    assert not (scratch / "journal.jsonl").exists()
+    return store_bytes(scratch)
+
+
 def test_frontend_commits_equal_full_saves(tmp_path):
     def tune(store):
         store.journal_max_records = 3  # compaction fires mid-monitoring
 
-    delta_states = [
-        (canonical_state(DetectionStore(path)), _generation(path))
-        for path in _frontend_commit_steps(tmp_path / "delta", tune)
+    delta_steps = [
+        (
+            step,
+            canonical_state(DetectionStore(path)),
+            _generation(path),
+            _compacted_bytes(path, tmp_path / "fold"),
+        )
+        for step, path in _frontend_commit_steps(tmp_path / "delta", tune)
     ]
     with full_save_homes():
-        oracle_states = [
-            canonical_state(DetectionStore(path))
-            for path in _frontend_commit_steps(tmp_path / "full")
+        oracle_steps = [
+            (step, canonical_state(DetectionStore(path)), store_bytes(path))
+            for step, path in _frontend_commit_steps(tmp_path / "full")
         ]
-    assert [state for state, _ in delta_states] == oracle_states
-    assert all(state is not None for state in oracle_states)
+    assert [step for step, *_ in delta_steps] == [
+        step for step, *_ in oracle_steps
+    ]
+    for (step, state, _, folded), (_, oracle_state, oracle_bytes) in zip(
+        delta_steps, oracle_steps
+    ):
+        assert oracle_state is not None, step
+        assert state == oracle_state, step
+        assert folded == oracle_bytes, step
     assert not (tmp_path / "full" / "h1" / "journal.jsonl").exists()
-    # Only frontend commits ran after the two decisions, so a later
-    # base generation proves commit_frontend compacted.
-    generations = [generation for _, generation in delta_states]
-    assert generations[-1] > generations[1]
+    # Only frontend commits ran in the monitor phase, so a later base
+    # generation at its end proves commit_frontend compacted.
+    generations = [generation for _, _, generation, _ in delta_steps]
+    assert generations[1 + MONITOR_PHASE] > generations[1]
+
+
+STORE_V3 = Path(__file__).parent / "fixtures" / "store_v3"
+
+
+def test_v3_store_loads_under_v4(tmp_path):
+    # A store written by the last v3 writer (full frontend blobs in its
+    # journal records; see tests/fixtures/make_store_v3.py) parses to
+    # the state that writer parsed it to, folds into a v4 base without
+    # changing it, and a home warm-started from it migrates it with its
+    # first commit.
+    expected = (STORE_V3 / "canonical_state.json").read_text("utf-8")
+    for name in ("load", "fold", "home"):
+        shutil.copytree(STORE_V3 / "h1", tmp_path / name / "h1")
+    store = DetectionStore(tmp_path / "load" / "h1")
+    assert store.load().schema == 3
+    assert canonical_state(store) == expected
+
+    folded = DetectionStore(tmp_path / "fold" / "h1")
+    assert folded.compact()
+    assert folded.load().schema == SCHEMA_VERSION == 4
+    assert canonical_state(folded) == expected
+
+    service = HomeGuardService(workers=None, store_root=tmp_path / "home")
+    service.preload([app_by_name("ComfortTV"), app_by_name("ColdDefender")])
+    service.create_home("h1")
+    assert sorted(service.restore("h1")) == ["ColdDefender", "ComfortTV"]
+    home = service.home("h1")
+    assert len(home.observations()) == len(
+        json.loads(expected)["frontend"]["extra"]["observations"]
+    )
+    window = home.home_devices["Window"].device_id
+    home.ingest_events([Event(window, "switch", "on", 10**6)], batch_id="v4")
+    migrated = DetectionStore(home.store.path)
+    assert migrated.load().schema == 4
+    assert not (home.store.path / "journal.jsonl").exists()
+    assert json.dumps(migrated.load().frontend) == json.dumps(
+        json.loads(json.dumps(home._frontend_blob()))
+    )
+    service.close()
+
+
+def test_monitor_commit_bytes_stay_flat_as_the_ledger_grows(tmp_path):
+    # A monitor commit journals the batch's own observations, not the
+    # ledger: bytes per (non-compacting) commit at batch 1,000 stay
+    # within 2x of those at batch 10.  A whole-blob record grew ~31x.
+    service = HomeGuardService(workers=None, store_root=tmp_path)
+    service.preload([app_by_name("ComfortTV"), app_by_name("ColdDefender")])
+    service.create_home("h1")
+    tv = service.register_device("h1", "TV", "tv").device_id
+    service.register_device("h1", "Temp", "temperatureSensor")
+    window = service.register_device("h1", "Window", "windowOpener").device_id
+    for spec in (COMFORT_TV, COLD_DEFENDER):
+        session = service.install(InstallRequest(home_id="h1", **spec))
+        service.decide(DecisionRequest(
+            home_id="h1", session_id=session.session_id, decision="keep",
+        ))
+    home = service.home("h1")
+    receipts = []
+    commit_frontend = home.store.commit_frontend
+
+    def recording(*args, **kwargs):
+        receipt = commit_frontend(*args, **kwargs)
+        receipts.append(receipt)
+        return receipt
+
+    home.store.commit_frontend = recording
+    rng = random.Random(11)
+    clock = 0.0
+    for batch in range(1000):
+        events = []
+        for _ in range(10):
+            clock += rng.uniform(1, 120)
+            subject, name, values = rng.choice([
+                (window, "switch", ["on", "off"]),
+                (tv, "switch", ["on", "off"]),
+                ("meter", "power", [100.0, 1500.0]),
+            ])
+            events.append(Event(
+                subject=subject, name=name,
+                value=rng.choice(values), timestamp=clock,
+            ))
+        home.ingest_events(events, batch_id=f"b{batch}")
+    service.close()
+    assert len(home.observations()) > 1000
+
+    def median_bytes(window_receipts):
+        sizes = sorted(
+            receipt.bytes_written
+            for receipt in window_receipts
+            if not receipt.compacted and not receipt.full
+        )
+        return sizes[len(sizes) // 2]
+
+    early = median_bytes(receipts[:20])
+    late = median_bytes(receipts[-20:])
+    assert late <= 2 * early, (early, late)
 
 
 def test_warm_start_from_delta_store_zero_solver_calls(tmp_path):
@@ -302,6 +538,121 @@ def test_truncated_journal_degrades_to_a_commit_boundary(tmp_path):
         assert state in acknowledged
     journal.write_bytes(pristine)
     assert canonical_state(DetectionStore(store.path)) == states[-1]
+
+
+def _ops_in(journal_bytes: bytes) -> set[str]:
+    """The frontend op kinds a journal carries (``put``/``drop`` with
+    their section)."""
+    kinds = set()
+    for line in journal_bytes.splitlines():
+        for op in json.loads(line).get("frontend_ops", []):
+            keyed = op[0] in ("put", "drop")
+            kinds.add(f"{op[0]} {op[1]}" if keyed else op[0])
+    return kinds
+
+
+def test_truncated_home_journal_degrades_to_a_commit_boundary(tmp_path):
+    # The same battery over a journal a home wrote, holding every
+    # frontend op the home emits (no compaction: one base, one log).
+    def tune(store):
+        store.journal_max_records = 10**6
+
+    acknowledged = set()
+    path = None
+    for _, path in _frontend_commit_steps(tmp_path, tune):
+        acknowledged.add(canonical_state(DetectionStore(path)))
+    journal = path / "journal.jsonl"
+    pristine = journal.read_bytes()
+    assert _ops_in(pristine) == {
+        "put payloads", "drop payloads", "put device_types",
+        "put home_devices", "allow", "review", "monitor",
+    }
+    boundaries = [
+        index + 1 for index, byte in enumerate(pristine) if byte == 0x0A
+    ]
+    cuts = set(range(0, len(pristine), 263))
+    for boundary in boundaries:
+        cuts.update((boundary - 1, boundary, boundary + 1))
+    for cut in sorted(cut for cut in cuts if cut <= len(pristine)):
+        journal.write_bytes(pristine[:cut])
+        state = canonical_state(DetectionStore(path))
+        assert state is not None
+        assert state in acknowledged, cut
+    journal.write_bytes(pristine)
+
+
+def test_failed_commits_journal_their_delta_later(tmp_path):
+    # A store append that fails leaves the home's durable cursor where
+    # it was: the next commit journals the lost change too, so after
+    # every successful commit the store holds exactly the live blob —
+    # including a payload that was dropped and re-added across the
+    # failure (a pop plus reinsert in one record).
+    service = HomeGuardService(workers=None, store_root=tmp_path)
+    service.preload([app_by_name("ComfortTV"), app_by_name("ColdDefender")])
+    service.create_home("h1")
+    home = service.home("h1")
+    home.store.journal_max_records = 10**6
+    for label, type_name in (
+        ("TV", "tv"), ("Temp", "temperatureSensor"),
+        ("Window", "windowOpener"),
+    ):
+        service.register_device("h1", label, type_name)
+
+    def decide(spec, decision):
+        session = service.install(InstallRequest(home_id="h1", **spec))
+        service.decide(DecisionRequest(
+            home_id="h1", session_id=session.session_id, decision=decision,
+        ))
+
+    def stored_blob():
+        return json.dumps(DetectionStore(home.store.path).load().frontend)
+
+    def live_blob():
+        return json.dumps(json.loads(json.dumps(home._frontend_blob())))
+
+    decide(COMFORT_TV, "keep")
+    decide(COLD_DEFENDER, "keep")
+    with FaultPlan([FaultSpec("store.append", kind="io-error", nth=(1,))]):
+        with pytest.raises(sqlite3.OperationalError):
+            decide(COMFORT_TV, "delete")
+    assert stored_blob() != live_blob()
+    decide(COMFORT_TV, "keep")
+    journal = (home.store.path / "journal.jsonl").read_bytes()
+    last_ops = json.loads(journal.splitlines()[-1])["frontend_ops"]
+    assert ["drop", "payloads", "ComfortTV"] in last_ops
+    assert stored_blob() == live_blob()
+    service.close()
+
+
+def test_load_that_changes_the_live_frontend_resyncs(tmp_path):
+    # Loading into a home that already holds state merges the two, so
+    # the live blob is no longer what the store holds: the next commit
+    # must write it whole rather than journal ops against the store.
+    service = HomeGuardService(workers=None, store_root=tmp_path)
+    service.preload([app_by_name("ComfortTV"), app_by_name("ColdDefender")])
+    service.create_home("h1")
+    for label, type_name in (
+        ("TV", "tv"), ("Temp", "temperatureSensor"),
+        ("Window", "windowOpener"),
+    ):
+        service.register_device("h1", label, type_name)
+    for spec in (COMFORT_TV, COLD_DEFENDER):
+        session = service.install(InstallRequest(home_id="h1", **spec))
+        service.decide(DecisionRequest(
+            home_id="h1", session_id=session.session_id, decision="keep",
+        ))
+    home = service.home("h1")
+    reviews = len(home.reviews)
+    service.restore("h1")
+    assert len(home.reviews) == 2 * reviews
+    window = home.home_devices["Window"].device_id
+    home.ingest_events([Event(window, "switch", "on", 1.0)], batch_id="b")
+    assert not (home.store.path / "journal.jsonl").exists()
+    stored = DetectionStore(home.store.path).load().frontend
+    assert json.dumps(stored) == json.dumps(
+        json.loads(json.dumps(home._frontend_blob()))
+    )
+    service.close()
 
 
 def test_corrupt_mid_journal_record_stops_replay_at_prefix(tmp_path):
