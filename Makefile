@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 .PHONY: test test-hashseed test-faults bench bench-smoke bench-fleet \
-	bench-store bench-monitor serve-smoke lint docs-check schema-check
+	bench-store bench-monitor serve-smoke lint docs-check schema-check loc
 
 # Tier-1 verification: the full unit/integration suite.  The ten
 # slowest tests are listed so a stalled test shows up in every CI log.
@@ -114,6 +114,11 @@ docs-check:
 	$(PYTHON) examples/ifttt_rules.py > /dev/null
 	$(PYTHON) examples/exploitation_demo.py > /dev/null
 	@echo "docs-check: README example scripts ran clean"
+
+# The size of the library: lines of every Python file under src/ (the
+# count each CHANGES.md entry states before and after its change).
+loc:
+	@find src -name '*.py' -print0 | xargs -0 cat | wc -l
 
 # Byte-compile everything as a cheap syntax/import lint (no external
 # linters baked into the image).

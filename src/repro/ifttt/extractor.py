@@ -187,9 +187,3 @@ def _build_action(applet: Applet, words: tuple[str, ...]) -> Action:
         device=device,
         capability=capability.split(".", 1)[-1],
     )
-
-
-def normalize_text(text: str) -> list[str]:
-    from repro.ifttt.nlp import normalize
-
-    return normalize(text)

@@ -18,12 +18,11 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import operator
 import time
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.capabilities.devices import make_device_id
 from repro.config.messaging import MessageRecord
@@ -134,52 +133,11 @@ def _allowed_record(threat: Threat) -> list:
     return [threat.type.value, threat.rule_a.rule_id, threat.rule_b.rule_id]
 
 
-def _keyed_ops(
-    section: str,
-    durable: Mapping,
-    live: Mapping,
-    same: Callable[[object, object], bool] = operator.eq,
-    render: Callable[[object], object] = lambda value: value,
-) -> list:
-    """The put/drop ops that turn ``durable`` into ``live`` with dict
-    semantics: keys live removed are dropped, changed values are put in
-    place, new keys are put at the end, and from the first key whose
-    order differs on, keys are dropped and put again — exactly the
-    order a pop plus reinsert leaves in the live dict."""
-    kept = [key for key in durable if key in live]
-    prefix = 0
-    for key in live:
-        if prefix == len(kept) or kept[prefix] != key:
-            break
-        prefix += 1
-    ops: list = [["drop", section, key] for key in durable if key not in live]
-    ops += [["drop", section, key] for key in kept[prefix:]]
-    for index, (key, value) in enumerate(live.items()):
-        if index >= prefix or not same(durable[key], value):
-            ops.append(["put", section, key, render(value)])
-    return ops
-
-
-def _payload_json(payload: ConfigPayload) -> str:
-    return json.dumps(_payload_entry(payload), default=str)
-
-
-@dataclass(slots=True)
-class _DurableFrontend:
-    """What of the frontend blob is already durable, as far as the
-    commit diff needs it: the small keyed sections by value, what each
-    review entry was rendered from, and lengths of the append-only
-    lists."""
-
-    payloads: dict[str, ConfigPayload]
-    device_types: dict[str, str]
-    home_devices: dict[str, dict]
-    extra_keys: tuple[str, ...]     # frontend_state's keys, in order
-    allowed: int
-    reviews: list[tuple]            # TenantHome._review_key per entry
-    observations: int
-    batches: int                    # TenantHome._batches_added
-    watch: int
+def _threat_apps(threat: Threat) -> set[str]:
+    """Every app a threat's rules belong to."""
+    apps = {threat.rule_a.app_name, threat.rule_b.app_name}
+    apps.update(rule.app_name for rule in threat.chain)
+    return apps
 
 
 class TenantHome:
@@ -236,7 +194,8 @@ class TenantHome:
         self.allowed = AllowedList()
         self.reviews: list[InstallReview] = []
         self.home_devices: dict[str, InstalledDevice] = {}
-        # Opaque facade state persisted verbatim with every snapshot.
+        # The blob's ``extra`` sections: registered home devices, the
+        # monitor's bookkeeping and its observation ledger.
         self.frontend_state: dict = {}
         self._pending: list[ConfigPayload] = []
         # Runtime interference monitor (DESIGN.md §16), built lazily on
@@ -253,13 +212,18 @@ class TenantHome:
         self._tallies: dict[str, list[int]] = {}
         self._latest = 0.0
         self._batch_index: dict[str, Iterable[int]] = {}
-        self._batches_added = 0
-        # The durable frontend, diffed on every commit so a commit
-        # journals only what changed (``None``: no baseline, the next
-        # commit is a full save), and whether a review's rendering may
-        # have changed since (a decision, or a recorded-app change).
-        self._durable: _DurableFrontend | None = None
-        self._reviews_dirty = False
+        # What the next commit journals: the frontend ops the mutations
+        # since the last durable commit queued, and the indices of
+        # reviews whose entries changed (rendered at commit time).  A
+        # ``None`` queue means no durable baseline (or a change no
+        # journal record expresses): the next commit is a full save.
+        self._ops: list | None = None
+        self._dirty_reviews: set[int] = set()
+        # Commits that persisted solve-cache entries, and per app not
+        # installed the count when a review of it first cached solves
+        # (they stay cached until it is kept, deleted or re-signed).
+        self._solves_persisted = 0
+        self._solved_at: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Home devices
@@ -276,10 +240,9 @@ class TenantHome:
         self.home_devices[label] = device
         # Ride along with the snapshots so labels keep resolving after
         # a warm restart.
-        self.frontend_state.setdefault("home_devices", {})[label] = {
-            "device_id": device.device_id,
-            "type": device.type_name,
-        }
+        entry = {"device_id": device.device_id, "type": device.type_name}
+        self.frontend_state.setdefault("home_devices", {})[label] = entry
+        self._journal(["put", "home_devices", label, entry])
         return device
 
     def bind_inputs(
@@ -344,23 +307,51 @@ class TenantHome:
         # which case everything cached about this app is stale.  An
         # identical payload (audit replays) keeps the caches.
         previous = self.config_recorder.config_of(payload.app_name)
-        retyped_devices = {
-            device_id
+        retyped = {
+            device_id: type_name
             for device_id, type_name in (device_types or {}).items()
             if self.config_recorder.device_types.get(device_id) != type_name
         }
         self.config_recorder.record(payload, device_types)
-        if previous != payload or retyped_devices:
-            self.pipeline.invalidate_app(payload.app_name)
-        if retyped_devices:
+        entry = _payload_entry(payload)
+        if previous is None or json.dumps(
+            _payload_entry(previous), default=str
+        ) != json.dumps(entry, default=str):
+            self._journal(["put", "payloads", payload.app_name, entry])
+        self._journal(*(
+            ["put", "device_types", device_id, type_name]
+            for device_id, type_name in retyped.items()
+        ))
+        stale = [payload.app_name] if previous != payload or retyped else []
+        if retyped:
             # Device types are home-global: re-typing a device changes
             # the signatures of every installed app bound to it.
-            for app_name, recorded in self.config_recorder.payloads.items():
-                if app_name != payload.app_name and retyped_devices & set(
-                    recorded.devices.values()
-                ):
-                    self.pipeline.invalidate_app(app_name)
+            stale += [
+                app_name
+                for app_name, recorded in self.config_recorder.payloads.items()
+                if app_name != payload.app_name
+                and retyped.keys() & set(recorded.devices.values())
+            ]
+        for app_name in stale:
+            self.pipeline.invalidate_app(app_name)
+            if app_name in self.rule_recorder.rulesets:
+                # An installed app re-signed in place: its directory
+                # entry changed where no journal record can put it (a
+                # commit record re-appends its app at the end of the
+                # installed order), so the next commit is a full save.
+                self._ops = None
+        cached = self.pipeline.engine.cache_size()
         report = self.pipeline.detect(ruleset)
+        if self.pipeline.engine.cache_size() > cached:
+            if payload.app_name in self.rule_recorder.rulesets:
+                # New solves between installed apps: frontend-only and
+                # remove records carry no cache entries, so the next
+                # commit is a full save.
+                self._ops = None
+            else:
+                self._solved_at.setdefault(
+                    payload.app_name, self._solves_persisted
+                )
         chains = find_chains(report.threats, self.allowed)
         review = InstallReview(
             app_name=payload.app_name,
@@ -369,6 +360,7 @@ class TenantHome:
             chains=chains,
         )
         self.reviews.append(review)
+        self._dirty_reviews.add(len(self.reviews) - 1)
         return review
 
     def decide(
@@ -381,28 +373,55 @@ class TenantHome:
         handling policy for automatic verdicts (``None`` = the user)."""
         review.decision = decision.value
         review.decided_by = decided_by
-        self._reviews_dirty = True
+        self._dirty_reviews.update(
+            index for index, shown in enumerate(self.reviews)
+            if shown is review
+        )
         # Any decision can change the kept-threat set the monitor
         # watches; recompile its confirmation rules on next ingestion.
         self._monitor_stale = True
+        app_name = review.app_name
+        recorded = app_name in self.rule_recorder.rulesets
         if decision is InstallDecision.KEEP:
-            ruleset = self._resolve_ruleset(review.app_name)
+            ruleset = self._resolve_ruleset(app_name)
+            solved_at = self._solved_at.pop(app_name, self._solves_persisted)
+            if solved_at != self._solves_persisted:
+                # A commit persisted newer solves since this app's were
+                # cached: its record would append them after those,
+                # where a full save keeps the engine's order.
+                self._ops = None
             self.rule_recorder.record(ruleset)
-            self.pipeline.commit(review.app_name, ruleset)
+            if not recorded:
+                self._mark_reviews_naming(app_name)
+            self.pipeline.commit(app_name, ruleset)
             # Accepted pairs join the Allowed list for chained detection
             # (paper §VI-D).
+            allowed = len(self.allowed.pairs)
             self.allowed.add_all(review.threats)
-            self._commit_store(review.app_name)
+            added = [_allowed_record(t) for t in self.allowed.pairs[allowed:]]
+            if added:
+                self._journal(["allow", added])
+            self._commit_store(app_name)
         elif decision is InstallDecision.DELETE:
-            self.rule_recorder.forget(review.app_name)
-            self.config_recorder.forget(review.app_name)
-            self.pipeline.discard(review.app_name)
-            self.pipeline.remove_ruleset(review.app_name)
-            self._commit_store(review.app_name, remove=True)
+            self.rule_recorder.forget(app_name)
+            if recorded:
+                self._mark_reviews_naming(app_name)
+            if app_name in self.config_recorder.payloads:
+                if self._ops is not None:
+                    # Its queued puts would only land to be dropped.
+                    self._ops[:] = [
+                        op for op in self._ops
+                        if op[:3] != ["put", "payloads", app_name]
+                    ]
+                self._journal(["drop", "payloads", app_name])
+            self.config_recorder.forget(app_name)
+            self.pipeline.discard(app_name)
+            self.pipeline.remove_ruleset(app_name)
+            self._commit_store(app_name, remove=True)
         else:
             # RECONFIGURE keeps nothing: the app will send a fresh
             # payload after the user updates its settings.
-            self.pipeline.discard(review.app_name)
+            self.pipeline.discard(app_name)
 
     def installed_apps(self) -> list[str]:
         return sorted(self.rule_recorder.rulesets)
@@ -419,7 +438,9 @@ class TenantHome:
         others, so the union covers every installed pair.  ``apps``
         restricts the replay; an audit replay carries no keep/delete
         decision — staged signatures are dropped, the apps stay
-        installed as-is."""
+        installed as-is, and the reviews are returned, not added to the
+        review history (which holds install screens and their
+        decisions)."""
         wanted = None if apps is None else set(apps)
         reviews: list[InstallReview] = []
         for app_name in self.installed_apps():
@@ -430,6 +451,9 @@ class TenantHome:
                 continue
             review = self.review_installation(payload)
             self.pipeline.discard(app_name)
+            # Kept, every audit would grow the history and the store.
+            self.reviews.pop()
+            self._dirty_reviews.discard(len(self.reviews))
             reviews.append(review)
         return reviews
 
@@ -446,7 +470,7 @@ class TenantHome:
                 if name in state:
                     # Repairing a malformed persisted value is no op
                     # the journal can express: resync with a full save.
-                    self._durable = None
+                    self._ops = None
                 state[name] = empty
         return state
 
@@ -516,46 +540,56 @@ class TenantHome:
         persistence instead of double-counting — the exactly-once
         contract under transport retries and store-append faults."""
         events = list(events)
-        engine = self.monitor_engine()
         state = self._monitor_state()
+        watch, watched = state["watch"], len(state["watch"])
+        engine = self.monitor_engine()
         key = batch_id or self._batch_key(events)
         positions = self._batch_index.get(key)
+        change: dict = {}
         if positions is not None:
             ledger = self.frontend_state["observations"]
-            replayed = [
+            observations = [
                 Observation.from_json(ledger[position])
                 for position in positions
             ]
-            # The original attempt may have died before its store
-            # commit landed; committing again journals whatever of it
-            # is not durable yet.
-            self._commit_monitor_store()
-            return replayed
-        fresh = engine.ingest_batch(events)
-        ledger = self.frontend_state.setdefault("observations", [])
-        start = len(ledger)
-        ledger.extend(observation.to_json() for observation in fresh)
-        for entry in ledger[start:]:
-            self._tally(entry)
-        batches = state["batches"]
-        batches.append([key, [o.key for o in fresh]])
-        self._batches_added += 1
-        self._batch_index[key] = range(start, len(ledger))
-        for evicted, _ in batches[: -self.monitor_batch_memory]:
-            self._batch_index.pop(evicted, None)
-        del batches[: -self.monitor_batch_memory]
-        stats = self.pipeline.stats
-        stats.monitor_events += len(events)
-        stats.monitor_observations += len(fresh)
-        for observation in fresh:
-            if observation.kind == KIND_CONFIRMED:
-                stats.threats_confirmed += 1
-            elif observation.kind == KIND_CONTRADICTED:
-                stats.threats_contradicted += 1
-            else:
-                stats.anomalies_flagged += 1
-        self._commit_monitor_store()
-        return fresh
+        else:
+            observations = engine.ingest_batch(events)
+            created = "observations" not in self.frontend_state
+            ledger = self.frontend_state.setdefault("observations", [])
+            start = len(ledger)
+            ledger.extend(o.to_json() for o in observations)
+            for entry in ledger[start:]:
+                self._tally(entry)
+            if observations or created:
+                change["observations"] = ledger[start:]
+            record = [key, [o.key for o in observations]]
+            batches = state["batches"]
+            batches.append(record)
+            self._batch_index[key] = range(start, len(ledger))
+            for evicted, _ in batches[: -self.monitor_batch_memory]:
+                self._batch_index.pop(evicted, None)
+            del batches[: -self.monitor_batch_memory]
+            change["batches"] = [record]
+            change["memory"] = self.monitor_batch_memory
+            stats = self.pipeline.stats
+            stats.monitor_events += len(events)
+            stats.monitor_observations += len(observations)
+            for observation in observations:
+                if observation.kind == KIND_CONFIRMED:
+                    stats.threats_confirmed += 1
+                elif observation.kind == KIND_CONTRADICTED:
+                    stats.threats_contradicted += 1
+                else:
+                    stats.anomalies_flagged += 1
+        if len(watch) > watched:
+            change["watch"] = dict(islice(watch.items(), watched, None))
+        if change:
+            self._journal(["monitor", change])
+        # A retried batch's first attempt may have died before its
+        # store commit landed; committing again journals whatever of it
+        # is not durable yet.
+        self.flush_store()
+        return observations
 
     def observations(self) -> list[Observation]:
         """The home's full persisted observation ledger, oldest first."""
@@ -646,11 +680,18 @@ class TenantHome:
             except (TypeError, ValueError):
                 continue  # malformed batch record: never matches
 
-    def _commit_monitor_store(self) -> None:
-        """Persist what the batch changed — new ledger entries, batch
-        keys and watch starts — as one frontend-only journal record:
-        O(batch), never a shard rewrite (DESIGN.md §16)."""
-        if self.store is None:
+    def flush_store(self) -> None:
+        """Commit what is not durable yet as one frontend-only journal
+        record — O(change), never a shard rewrite (DESIGN.md §16): after
+        every monitor batch, before eviction and at service close.  A
+        home with no baseline writes a full save, unless it holds no
+        state at all (then a store an earlier process left stays as it
+        is)."""
+        if self._ops is None:
+            pending = self.reviews or self.frontend_state
+        else:
+            pending = self._ops or self._dirty_reviews
+        if self.store is None or not pending:
             return
         self._account_store(
             self.store.commit_frontend(
@@ -663,32 +704,13 @@ class TenantHome:
     # ------------------------------------------------------------------
     # Persistence (save-on-commit / load-on-startup, DESIGN.md §8)
 
-    def _threat_restorable(self, threat: Threat) -> bool:
-        """Whether a persisted record of this threat could be rebuilt on
-        load: every rule it mentions must belong to a recorded app."""
-        apps = {threat.rule_a.app_name, threat.rule_b.app_name}
-        apps.update(rule.app_name for rule in threat.chain)
-        return all(app in self.rule_recorder.rulesets for app in apps)
-
-    def _review_key(self, review: InstallReview) -> tuple:
-        """Everything a review's persisted entry depends on besides the
-        review itself: its decision and, since threat records of
-        unrecorded apps are pruned, which of its apps are recorded."""
-        apps = set()
-        for threat in (*review.threats, *review.chains):
-            apps.add(threat.rule_a.app_name)
-            apps.add(threat.rule_b.app_name)
-            apps.update(rule.app_name for rule in threat.chain)
-        return (
-            review.decision,
-            review.decided_by,
-            frozenset(apps.intersection(self.rule_recorder.rulesets)),
-        )
-
     def _review_entry(self, review: InstallReview) -> dict:
         """One review as its persisted frontend-blob entry.  The
         ``decided_by`` key appears only for policy-decided reviews (a
-        user decision carries no provenance)."""
+        user decision carries no provenance).  A threat record is kept
+        only if load could rebuild it: every rule it mentions belongs
+        to a recorded app."""
+        recorded = self.rule_recorder.rulesets.keys()
         entry = {
             "app": review.app_name,
             "rules": list(review.rules),
@@ -696,16 +718,13 @@ class TenantHome:
         }
         if review.decided_by is not None:
             entry["decided_by"] = review.decided_by
-        entry["threats"] = [
-            _threat_record(t)
-            for t in review.threats
-            if self._threat_restorable(t)
-        ]
-        entry["chains"] = [
-            _threat_record(t)
-            for t in review.chains
-            if self._threat_restorable(t)
-        ]
+        for kind, threats in (
+            ("threats", review.threats), ("chains", review.chains),
+        ):
+            entry[kind] = [
+                _threat_record(t) for t in threats
+                if _threat_apps(t) <= recorded
+            ]
         return entry
 
     def _frontend_blob(self) -> dict:
@@ -724,190 +743,61 @@ class TenantHome:
                 _allowed_record(threat) for threat in self.allowed.pairs
             ],
             # Review/decision history: every install screen shown so
-            # far, with the one-time decision (and the deciding policy,
-            # when one decided automatically) — the provenance of the
-            # Allowed list and of each kept app.  Survives warm
-            # restarts (the past is re-rendered, not re-detected).
-            # Threat records referencing apps whose rules are no longer
-            # recorded (deleted apps) could never be reconstructed on
-            # load, so they are pruned here instead of being carried as
-            # dead weight in every snapshot; the review entry itself —
-            # app, rendered rules, decision — always persists.
+            # far, with the one-time decision (and the deciding policy)
+            # — the provenance of the Allowed list and of each kept app,
+            # re-rendered, not re-detected, after a warm restart.
             "reviews": [
                 self._review_entry(review) for review in self.reviews
             ],
             "extra": self.frontend_state,
         }
 
-    def _durable_image(self) -> _DurableFrontend:
-        """The durable-frontend view of the live state, for when all of
-        it just became durable (a full save, or a load that matched)."""
-        extra = self.frontend_state
-        devices = extra.get("home_devices")
-        ledger = extra.get("observations")
-        monitor_state = extra.get("monitor")
-        watch = (
-            monitor_state.get("watch")
-            if isinstance(monitor_state, dict)
-            else None
-        )
-        return _DurableFrontend(
-            payloads=dict(self.config_recorder.payloads),
-            device_types=dict(self.config_recorder.device_types),
-            home_devices=dict(devices) if isinstance(devices, dict) else {},
-            extra_keys=tuple(extra),
-            allowed=len(self.allowed.pairs),
-            reviews=[self._review_key(review) for review in self.reviews],
-            observations=len(ledger) if isinstance(ledger, list) else 0,
-            batches=self._batches_added,
-            watch=len(watch) if isinstance(watch, dict) else 0,
-        )
+    def _journal(self, *ops: list) -> None:
+        """Queue frontend ops for the next commit (unless it is full)."""
+        if self._ops is not None:
+            self._ops.extend(ops)
+
+    def _mark_reviews_naming(self, app_name: str) -> None:
+        """Mark the reviews with a threat naming ``app_name``, just
+        recorded or dropped: entries prune unrecorded apps' threats."""
+        if self._ops is not None:  # else the next commit renders all
+            self._dirty_reviews.update(
+                index
+                for index, review in enumerate(self.reviews)
+                if any(
+                    app_name in _threat_apps(threat)
+                    for threat in (*review.threats, *review.chains)
+                )
+            )
 
     def _synced(self) -> None:
-        self._durable = self._durable_image()
-        self._reviews_dirty = False
+        """All of the live state is durable (a full save, a load)."""
+        self._ops = []
+        self._dirty_reviews.clear()
 
     def _frontend_delta(self) -> FrontendDelta:
-        """This commit's frontend change: the ops that turn the durable
-        blob into the live one, built from the durable view and cursors
-        into the append-only lists — O(change), not O(history).  With
-        no durable view (a fresh home, or a change the ops cannot
-        express) the delta asks for a full save instead."""
-        durable = self._durable
-        computed = None if durable is None else self._diff(durable)
-        if computed is None:
+        """This commit's frontend change: the queued ops, then the
+        dirty reviews rendered in index order — O(change).  With no
+        baseline (a ``None`` queue) it asks for a full save instead."""
+        queue = self._ops
+        if queue is None:
             return FrontendDelta(None, self._frontend_blob, self._synced)
-        ops, advanced = computed
+        landed = len(queue)
+        rendered = sorted(self._dirty_reviews)
+        ops = queue + [
+            ["review", index, self._review_entry(self.reviews[index])]
+            for index in rendered
+        ]
 
         def on_durable() -> None:
-            self._durable = advanced
-            self._reviews_dirty = False
+            # Runs again after a compaction that followed the append:
+            # only the first call drops the prefix that landed.
+            nonlocal landed
+            del queue[:landed]
+            landed = 0
+            self._dirty_reviews.difference_update(rendered)
 
         return FrontendDelta(ops, self._frontend_blob, on_durable)
-
-    def _diff(
-        self, durable: _DurableFrontend
-    ) -> "tuple[list, _DurableFrontend] | None":
-        """The frontend ops since ``durable`` and the durable view once
-        they land; ``None`` when the ops cannot express the change."""
-        payloads = self.config_recorder.payloads
-        ops = _keyed_ops(
-            "payloads", durable.payloads, payloads,
-            lambda old, new: old is new
-            or _payload_json(old) == _payload_json(new),
-            _payload_entry,
-        )
-        device_types = self.config_recorder.device_types
-        ops += _keyed_ops("device_types", durable.device_types, device_types)
-        pairs = self.allowed.pairs
-        if len(pairs) < durable.allowed or len(self.reviews) < len(
-            durable.reviews
-        ):
-            return None
-        if len(pairs) > durable.allowed:
-            ops.append(["allow", [
-                _allowed_record(threat) for threat in pairs[durable.allowed:]
-            ]])
-        # Reviews: new ones append; after a decision (or a change of
-        # the recorded apps, which prunes threat records) any earlier
-        # entry may render differently, so every key is compared.
-        reviews = durable.reviews
-        first = 0 if self._reviews_dirty else len(reviews)
-        for index in range(first, len(self.reviews)):
-            review = self.reviews[index]
-            key = self._review_key(review)
-            if index < len(durable.reviews) and reviews[index] == key:
-                continue
-            if reviews is durable.reviews:
-                reviews = list(reviews)
-            if index < len(reviews):
-                reviews[index] = key
-            else:
-                reviews.append(key)
-            ops.append(["review", index, self._review_entry(review)])
-        # The facade's extra state, in its key order: a key the ops
-        # create lands where the live dict created it.
-        extra = self.frontend_state
-        created: list[str] = []
-        home_devices = durable.home_devices
-        monitor_done = False
-        observations, batches, watch = (
-            durable.observations, durable.batches, durable.watch,
-        )
-        for key, value in extra.items():
-            if key == "home_devices" and isinstance(value, dict):
-                device_ops = _keyed_ops(
-                    "home_devices", durable.home_devices, value
-                )
-                if device_ops and key not in durable.extra_keys:
-                    created.append(key)
-                ops += device_ops
-                home_devices = dict(value)
-            elif key in ("monitor", "observations") and not monitor_done:
-                monitor_done = True
-                change = self._monitor_change(durable)
-                if change is None:
-                    return None
-                if change or "monitor" not in durable.extra_keys:
-                    ops.append(["monitor", change])
-                    created += [
-                        name
-                        for name in ("monitor", "observations")
-                        if name not in durable.extra_keys
-                        and (name == "monitor" or name in change)
-                    ]
-                observations = len(extra.get("observations") or ())
-                batches = self._batches_added
-                watch = len(extra["monitor"]["watch"])
-        if [*durable.extra_keys, *created] != list(extra):
-            return None
-        return ops, _DurableFrontend(
-            payloads=dict(payloads),
-            device_types=dict(device_types),
-            home_devices=home_devices,
-            extra_keys=tuple(extra),
-            allowed=len(pairs),
-            reviews=reviews,
-            observations=observations,
-            batches=batches,
-            watch=watch,
-        )
-
-    def _monitor_change(self, durable: _DurableFrontend) -> dict | None:
-        """The ``monitor`` op's payload since ``durable``: new ledger
-        entries, new batch records (replay trims them to
-        ``monitor_batch_memory`` as the live list was) and new watch
-        starts; ``None`` when the live state is not an append to the
-        durable one."""
-        extra = self.frontend_state
-        state = extra.get("monitor")
-        if not isinstance(state, dict):
-            return None
-        batches, watch = state.get("batches"), state.get("watch")
-        if not isinstance(batches, list) or not isinstance(watch, dict):
-            return None
-        change: dict = {}
-        if "observations" in extra:
-            ledger = extra["observations"]
-            if (
-                not isinstance(ledger, list)
-                or len(ledger) < durable.observations
-            ):
-                return None
-            if (
-                len(ledger) > durable.observations
-                or "observations" not in durable.extra_keys
-            ):
-                change["observations"] = ledger[durable.observations:]
-        added = self._batches_added - durable.batches
-        if added:
-            change["batches"] = batches[-added:]
-            change["memory"] = self.monitor_batch_memory
-        if len(watch) < durable.watch:
-            return None
-        if len(watch) > durable.watch:
-            change["watch"] = dict(islice(watch.items(), durable.watch, None))
-        return change
 
     def save_store(self) -> None:
         """Snapshot detection state + recorders to the configured store
@@ -939,14 +829,20 @@ class TenantHome:
                 rulesets=self.rule_recorder.rulesets,
                 frontend=self._frontend_delta(),
                 remove=remove,
-            )
+            ),
+            persisted_solves=not remove,
         )
 
-    def _account_store(self, receipt: StoreCommit) -> None:
-        """Fold one durable write into the store-cost counters."""
+    def _account_store(
+        self, receipt: StoreCommit, persisted_solves: bool = False
+    ) -> None:
+        """Fold one durable write into the store-cost counters; count
+        it if it persisted solve-cache entries (app commit, full save)."""
         stats = self.pipeline.stats
         stats.store_bytes_written += receipt.bytes_written
         stats.store_commit_seconds += receipt.seconds
+        if persisted_solves or receipt.full or receipt.compacted:
+            self._solves_persisted += 1
 
     def load_store(self) -> list[str]:
         """Warm-start this home from the persisted store.
@@ -1075,5 +971,5 @@ class TenantHome:
         ):
             self._synced()
         else:
-            self._durable = None
+            self._ops = None
         return result.warm_apps + result.stale_apps

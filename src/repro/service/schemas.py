@@ -516,22 +516,6 @@ class MonitorEventRequest(WireModel):
             )
         object.__setattr__(self, "events", tuple(normalized))
 
-    @classmethod
-    def from_events(
-        cls, home_id: str, events, batch_id: str = ""
-    ) -> "MonitorEventRequest":
-        """Build from live :class:`~repro.runtime.events.Event`
-        objects (e.g. an ``EventBus.history`` slice)."""
-        return cls(
-            home_id=home_id,
-            events=tuple(
-                (event.subject, event.name, _wire_value(event.value),
-                 float(event.timestamp))
-                for event in events
-            ),
-            batch_id=batch_id,
-        )
-
     def to_events(self):
         """The batch as live runtime events, replay-ready."""
         from repro.runtime.events import Event

@@ -23,6 +23,7 @@ a human in the loop.
 from __future__ import annotations
 
 import json
+import sqlite3
 import threading
 from pathlib import Path
 from typing import Iterable
@@ -143,11 +144,12 @@ class HomeGuardService:
         Optional bound on *resident* tenant homes (lazy shard
         loading, DESIGN.md §14).  Created homes are registered
         durably; beyond the bound the least-recently-used home with a
-        store is evicted from memory and transparently re-hydrated
-        from its store on next touch — exactly a warm restart, so
-        threats, caches and store bytes are unchanged.  Homes without
-        a store, homes with queued payloads, and homes with pending
-        sessions are never evicted.  ``None`` (default) keeps every
+        store is evicted from memory (after a flush of its changes
+        not yet durable) and transparently re-hydrated from its store
+        on next touch — exactly a warm restart, so threats, caches and
+        store bytes are unchanged.  Homes without a store, homes with
+        queued payloads, homes with pending sessions and homes whose
+        flush failed are never evicted.  ``None`` (default) keeps every
         home resident.
     """
 
@@ -292,24 +294,28 @@ class HomeGuardService:
         )
 
     def _evict_over_limit(self, keep: str | None = None) -> None:
-        """Drop least-recently-used evictable homes until the resident
-        count honours ``max_resident_homes`` (``keep`` is exempt: the
-        home being touched right now must stay)."""
+        """Drop least-recently-used evictable homes, each flushed
+        first, until the resident count honours ``max_resident_homes``
+        (``keep`` is exempt: the home being touched right now must
+        stay; a home whose flush failed counts as pinned)."""
         limit = self.max_resident_homes
         if limit is None:
             return
         limit = max(1, int(limit))
         while len(self._homes) > limit:
-            victim = None
             for home_id, home in self._homes.items():
-                if home_id == keep:
+                if home_id == keep or not self._evictable(home):
                     continue
-                if self._evictable(home):
-                    victim = home_id
-                    break
-            if victim is None:
+                try:
+                    # A device registration or a RECONFIGURE's review
+                    # may not be durable yet.
+                    home.flush_store()
+                except (OSError, sqlite3.Error):
+                    continue
+                del self._homes[home_id]
+                break
+            else:
                 return  # every candidate is pinned; stay over bound
-            del self._homes[victim]
 
     def home(self, home_id: str) -> TenantHome:
         home = self._homes.get(home_id)
@@ -753,9 +759,10 @@ class HomeGuardService:
     # Lifecycle
 
     def close(self) -> None:
-        """Release the shared dispatcher's workers, if any were
-        started, and flush + close the shared solve cache, if one is
-        configured.  Idempotent (every dispatcher's ``close`` is, and
+        """Commit each resident home's changes not yet durable (as
+        eviction does), release the shared dispatcher's workers, if any
+        were started, and flush + close the shared solve cache, if one
+        is configured.  Idempotent (every dispatcher's ``close`` is, and
         so are the cache backends'), and safe after a failed
         :meth:`restore` — tenant pipelines never own either, so one
         close here is complete.  A later detection run transparently
@@ -763,23 +770,28 @@ class HomeGuardService:
 
         Also safe to call concurrently: the fleet server's drain path
         (an event-loop thread) and a ``with`` block (the main thread)
-        may both reach here, so the two shutdown steps run under a
-        lock, and a dispatcher that fails to close cannot leave the
-        cache unflushed."""
+        may both reach here, so the shutdown steps run under a lock,
+        and a flush or a dispatcher that fails cannot leave the cache
+        unflushed."""
         with self._close_lock:
             try:
-                if self.dispatcher is not None:
-                    self.dispatcher.close()
+                for home in list(self._homes.values()):
+                    home.flush_store()
             finally:
                 try:
-                    if self.solve_cache is not None:
-                        self.solve_cache.flush()
-                        self.solve_cache.close()
+                    if self.dispatcher is not None:
+                        self.dispatcher.close()
                 finally:
-                    if self._fleet_backend is not None:
-                        # Checkpoint only: the underlying connection may
-                        # be shared with another controller's views.
-                        self._fleet_backend.close()
+                    try:
+                        if self.solve_cache is not None:
+                            self.solve_cache.flush()
+                            self.solve_cache.close()
+                    finally:
+                        if self._fleet_backend is not None:
+                            # Checkpoint only: the underlying connection
+                            # may be shared with another controller's
+                            # views.
+                            self._fleet_backend.close()
 
     def __enter__(self) -> "HomeGuardService":
         return self

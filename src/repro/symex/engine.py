@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from repro.capabilities.registry import find_command, is_sink_command
 from repro.lang import ast_nodes as ast
-from repro.lang.parser import parse
 from repro.rules.model import Action, Condition, DataConstraint, Rule, RuleSet, Trigger
 from repro.symex import api_models
 from repro.symex.state import PathState
@@ -129,10 +128,6 @@ class SymbolicExecutor:
 
     # ------------------------------------------------------------------
     # Public API
-
-    @classmethod
-    def from_source(cls, source: str, **kwargs) -> "SymbolicExecutor":
-        return cls(parse(source), **kwargs)
 
     def run(self) -> RuleSet:
         """Execute the app symbolically and return its rule set."""

@@ -68,6 +68,19 @@ COLD_DEFENDER = dict(
     values={"weather": "rainy"},
 )
 
+# A device-type pair: re-typing "Heater" from "switch" to "heater"
+# re-signs an installed ModeAwareHeater when ItsTooHot binds it.
+MODE_AWARE_HEATER = dict(
+    app_name="ModeAwareHeater",
+    devices={"heater1": "Heater", "tSensor": "Temp"},
+    values={"tooCold": 62, "occupiedMode": "Home"},
+)
+ITS_TOO_HOT = dict(
+    app_name="ItsTooHot",
+    devices={"tSensor": "Temp", "ac": "Heater"},
+    values={"tooHot": 80},
+)
+
 CHAIN_APPS = (
     dict(
         app_name="SwitchChangesMode",
@@ -187,6 +200,17 @@ def test_recommit_moves_app_to_end_like_eager_save(tmp_path):
 MONITOR_PHASE = 20  # monitor batches right after the two decisions
 
 
+def _stored_service(store_root, specs, tune_store=None):
+    """A service with one home, ``h1``, stored under ``store_root`` and
+    the apps of ``specs`` preloaded; ``tune_store`` sees its store."""
+    service = HomeGuardService(workers=None, store_root=store_root)
+    service.preload([app_by_name(spec["app_name"]) for spec in specs])
+    service.create_home("h1")
+    if tune_store is not None:
+        tune_store(service.home("h1").store)
+    return service
+
+
 def _frontend_commit_steps(store_root, tune_store=None):
     """Drive one stored home through two interfering installs and
     their decisions, then ``MONITOR_PHASE`` seeded monitor batches
@@ -201,16 +225,11 @@ def _frontend_commit_steps(store_root, tune_store=None):
     path = store_root / "h1"
 
     def open_service():
-        service = HomeGuardService(workers=None, store_root=store_root)
-        service.preload([
-            app_by_name(spec["app_name"])
-            for spec in (COMFORT_TV, COLD_DEFENDER, *CHAIN_APPS)
-        ])
-        service.create_home("h1")
+        service = _stored_service(
+            store_root, (COMFORT_TV, COLD_DEFENDER, *CHAIN_APPS), tune_store
+        )
         # A short dedup memory, so the batch list is trimmed in-run.
         service.home("h1").monitor_batch_memory = 8
-        if tune_store is not None:
-            tune_store(service.home("h1").store)
         return service
 
     service = open_service()
@@ -330,38 +349,204 @@ def _compacted_bytes(store_path, scratch) -> list[bytes]:
     return store_bytes(scratch)
 
 
-def test_frontend_commits_equal_full_saves(tmp_path):
-    def tune(store):
-        store.journal_max_records = 3  # compaction fires mid-monitoring
+def _resign_steps(store_root, tune_store=None):
+    """Drive one stored home through both ways detection re-signs an
+    installed app in place: a RECONFIGURE of the first kept app (the
+    rejected payload stays recorded, and the app is signed under it)
+    and a re-typed device that a later review binds (every installed
+    app bound to it is re-signed), then an audit that solves the pairs
+    the re-signing dropped, and a warm reload.  Yields ``(step, store
+    path)`` after every step, like :func:`_frontend_commit_steps`."""
+    path = store_root / "h1"
+    specs = (COMFORT_TV, COLD_DEFENDER, MODE_AWARE_HEATER, ITS_TOO_HOT)
+    service = _stored_service(store_root, specs, tune_store)
+    for label, type_name in (
+        ("TV", "tv"), ("Temp", "temperatureSensor"),
+        ("Window", "windowOpener"), ("Heater", "switch"),
+    ):
+        service.register_device("h1", label, type_name)
+    window = service.home("h1").home_devices["Window"].device_id
 
-    delta_steps = [
+    def decide(spec, decision):
+        session = service.install(InstallRequest(home_id="h1", **spec))
+        service.decide(DecisionRequest(
+            home_id="h1", session_id=session.session_id, decision=decision,
+        ))
+
+    def monitor_batch(number):
+        service.home("h1").ingest_events(
+            [Event(window, "switch", "on", float(number))],
+            batch_id=f"b{number}",
+        )
+
+    for spec in (COMFORT_TV, COLD_DEFENDER):
+        decide(spec, "keep")
+        yield f"keep {spec['app_name']}", path
+    decide(dict(COMFORT_TV, values={"threshold1": 25}), "reconfigure")
+    yield "reconfigure kept ComfortTV", path
+    monitor_batch(1)
+    yield "batch after the reconfigure", path
+    decide(MODE_AWARE_HEATER, "keep")
+    yield "keep ModeAwareHeater", path
+    service.register_device("h1", "Heater", "heater")
+    decide(ITS_TOO_HOT, "keep")
+    yield "re-type Heater, keep ItsTooHot", path
+    service.audit(AuditRequest(home_id="h1"))
+    yield "audit", path
+    monitor_batch(2)
+    yield "batch after the audit", path
+    service.close()
+    service = _stored_service(store_root, specs, tune_store)
+    service.restore("h1")
+    yield "warm reload", path
+    monitor_batch(3)
+    yield "batch after the reload", path
+    service.close()
+
+
+def _assert_equal_full_saves(steps, root, tune_store):
+    """Drive ``steps(store_root, tune_store)`` against a delta store
+    and against the full-save oracle: after every step the canonical
+    state, and the delta store's bytes once compacted, must equal the
+    oracle's.  Returns the delta store's base generation per step."""
+    delta = [
         (
             step,
             canonical_state(DetectionStore(path)),
             _generation(path),
-            _compacted_bytes(path, tmp_path / "fold"),
+            _compacted_bytes(path, root / "fold"),
         )
-        for step, path in _frontend_commit_steps(tmp_path / "delta", tune)
+        for step, path in steps(root / "delta", tune_store)
     ]
     with full_save_homes():
-        oracle_steps = [
+        oracle = [
             (step, canonical_state(DetectionStore(path)), store_bytes(path))
-            for step, path in _frontend_commit_steps(tmp_path / "full")
+            for step, path in steps(root / "full", None)
         ]
-    assert [step for step, *_ in delta_steps] == [
-        step for step, *_ in oracle_steps
-    ]
+    assert [step for step, *_ in delta] == [step for step, *_ in oracle]
     for (step, state, _, folded), (_, oracle_state, oracle_bytes) in zip(
-        delta_steps, oracle_steps
+        delta, oracle
     ):
         assert oracle_state is not None, step
         assert state == oracle_state, step
         assert folded == oracle_bytes, step
-    assert not (tmp_path / "full" / "h1" / "journal.jsonl").exists()
+    assert not (root / "full" / "h1" / "journal.jsonl").exists()
+    return [generation for _, _, generation, _ in delta]
+
+
+def test_frontend_commits_equal_full_saves(tmp_path):
+    def tune(store):
+        store.journal_max_records = 3  # compaction fires mid-monitoring
+
+    generations = _assert_equal_full_saves(
+        _frontend_commit_steps, tmp_path / "steps", tune
+    )
     # Only frontend commits ran in the monitor phase, so a later base
     # generation at its end proves commit_frontend compacted.
-    generations = [generation for _, _, generation, _ in delta_steps]
     assert generations[1 + MONITOR_PHASE] > generations[1]
+    # A re-signed app's directory entry reaches the store too.
+    _assert_equal_full_saves(_resign_steps, tmp_path / "resign", tune)
+
+
+# Each app with two configurations, and devices with two types: the
+# random walk below reconfigures kept apps and re-types bound devices.
+RANDOM_APPS = [
+    (spec, dict(spec["values"], **changed))
+    for spec, changed in (
+        (COMFORT_TV, {"threshold1": 25}),
+        (COLD_DEFENDER, {"weather": "sunny"}),
+        (MODE_AWARE_HEATER, {"tooCold": 58}),
+        (ITS_TOO_HOT, {"tooHot": 85}),
+    )
+]
+RANDOM_DEVICES = {
+    "TV": ("tv",),
+    "Temp": ("temperatureSensor",),
+    "Window": ("windowOpener", "switch"),
+    "Heater": ("switch", "heater"),
+}
+
+
+def _random_steps(store_root, seed, count, tune_store=None):
+    """``count`` seeded random operations on one stored home: installs
+    decided keep, delete or reconfigure (with either configuration),
+    device registrations and re-types, monitor batches, audits and
+    warm restarts.  The draws never depend on the home's state, so a
+    run against the full-save oracle makes the same moves.  Yields
+    ``(step, store path)`` after every operation."""
+    rng = random.Random(seed)
+    path = store_root / "h1"
+    specs = [spec for spec, _ in RANDOM_APPS]
+    service = _stored_service(store_root, specs, tune_store)
+    for label, types in RANDOM_DEVICES.items():
+        service.register_device("h1", label, types[0])
+    # A first batch that observes nothing (a switch at noon) still
+    # creates the ledger.
+    clock = 12 * 3600.0
+    home = service.home("h1")
+    tv = home.home_devices["TV"].device_id
+    assert home.ingest_events([Event(tv, "switch", "on", clock)]) == []
+    for step in range(count):
+        kind = rng.choice(
+            ["install"] * 4 + ["device", "batch", "batch", "audit", "restore"]
+        )
+        if kind == "install":
+            spec, changed = rng.choice(RANDOM_APPS)
+            values = rng.choice([spec["values"], changed])
+            decision = rng.choice(["keep", "keep", "delete", "reconfigure"])
+            session = service.install(
+                InstallRequest(home_id="h1", **dict(spec, values=values))
+            )
+            service.decide(DecisionRequest(
+                home_id="h1", session_id=session.session_id,
+                decision=decision,
+            ))
+            kind = f"{decision} {spec['app_name']} {values}"
+        elif kind == "device":
+            label = rng.choice(sorted(RANDOM_DEVICES))
+            type_name = rng.choice(RANDOM_DEVICES[label])
+            service.register_device("h1", label, type_name)
+            kind = f"register {label} as {type_name}"
+        elif kind == "batch":
+            home = service.home("h1")
+            events = []
+            for _ in range(6):
+                clock += rng.uniform(1, 600)
+                label, name, values = rng.choice([
+                    ("Window", "switch", ["on", "off"]),
+                    ("TV", "switch", ["on", "off"]),
+                    ("Heater", "switch", ["on", "off"]),
+                    ("Temp", "temperature", [55, 70, 90]),
+                ])
+                events.append(Event(
+                    subject=home.home_devices[label].device_id, name=name,
+                    value=rng.choice(values), timestamp=clock,
+                ))
+            home.ingest_events(events, batch_id=f"b{step}")
+        elif kind == "audit":
+            service.audit(AuditRequest(home_id="h1"))
+        else:
+            service.close()
+            service = _stored_service(store_root, specs, tune_store)
+            service.restore("h1")
+        yield f"{step}: {kind}", path
+    service.close()
+
+
+def test_random_operations_equal_full_saves(tmp_path):
+    # Seed 25 re-types "Heater" under an installed ModeAwareHeater
+    # before ItsTooHot binds it (step 18); seed 1 keeps apps whose
+    # earlier rejected reviews must render their threats again.  Both
+    # reconfigure kept apps, keep solves cached long before and audit.
+    def tune(store):
+        store.journal_max_records = 8  # replay and compaction both run
+
+    for seed in (25, 1):
+        _assert_equal_full_saves(
+            lambda root, tune_store: _random_steps(root, seed, 40, tune_store),
+            tmp_path / f"seed{seed}",
+            tune,
+        )
 
 
 STORE_V3 = Path(__file__).parent / "fixtures" / "store_v3"
@@ -622,6 +807,44 @@ def test_failed_commits_journal_their_delta_later(tmp_path):
     assert ["drop", "payloads", "ComfortTV"] in last_ops
     assert stored_blob() == live_blob()
     service.close()
+
+
+def test_deleted_install_journals_no_payload(tmp_path):
+    # A DELETE cancels the queued put of the payload its review
+    # recorded; the drop alone keeps the store equal to a full save.
+    service = _stored_service(tmp_path, (COMFORT_TV, COLD_DEFENDER))
+    for label, type_name in (
+        ("TV", "tv"), ("Temp", "temperatureSensor"),
+        ("Window", "windowOpener"),
+    ):
+        service.register_device("h1", label, type_name)
+    for spec, decision in ((COMFORT_TV, "keep"), (COLD_DEFENDER, "delete")):
+        session = service.install(InstallRequest(home_id="h1", **spec))
+        service.decide(DecisionRequest(
+            home_id="h1", session_id=session.session_id, decision=decision,
+        ))
+    journal = (tmp_path / "h1" / "journal.jsonl").read_text("utf-8")
+    ops = json.loads(journal.splitlines()[-1])["frontend_ops"]
+    assert ["drop", "payloads", "ColdDefender"] in ops
+    assert not [op for op in ops if op[:2] == ["put", "payloads"]]
+    service.close()
+
+
+def test_on_durable_drops_only_the_ops_that_landed(tmp_path):
+    # A compaction right after an append runs on_durable a second time;
+    # an op queued after the delta was built survives both calls.
+    service = HomeGuardService(workers=None, store_root=tmp_path)
+    service.create_home("h1")
+    home = service.home("h1")
+    home.save_store()  # a baseline: changes queue from here on
+    service.register_device("h1", "TV", "tv")
+    delta = home._frontend_delta()
+    service.register_device("h1", "Lamp", "switch")
+    delta.on_durable()
+    delta.on_durable()
+    assert home._ops == [["put", "home_devices", "Lamp", {
+        "device_id": home.home_devices["Lamp"].device_id, "type": "switch",
+    }]]
 
 
 def test_load_that_changes_the_live_frontend_resyncs(tmp_path):
@@ -954,6 +1177,129 @@ def test_eviction_is_a_warm_restart(tmp_path):
     # restored history without re-solving the restored apps.
     session = service.install(InstallRequest(home_id="h1", **COLD_DEFENDER))
     assert any(t.type == "AR" for t in session.report.threats)
+
+
+def test_eviction_flushes_changes_not_yet_durable(tmp_path):
+    # A device registration commits nothing by itself: eviction must
+    # flush it, for a home with no store yet (a full save) and for one
+    # with a journal (a frontend record).
+    service = fleet_service(tmp_path / "root", max_resident_homes=1)
+    service.create_home("h1")
+    service.register_device("h1", "TV", "tv")
+    service.create_home("h2")  # evicts h1
+    assert service.resident_count() == 1
+    assert service.home("h1").home_devices["TV"].type_name == "tv"
+    service.register_device("h1", "Temp", "temperatureSensor")
+    service.register_device("h1", "Window", "windowOpener")
+    service.install(InstallRequest(home_id="h1", **COMFORT_TV))
+    service.register_device("h1", "Lamp", "switch")
+    service.home("h2")  # evicts h1 again
+    rehydrated = service.home("h1")
+    assert rehydrated.installed_apps() == ["ComfortTV"]
+    assert rehydrated.home_devices["Lamp"].type_name == "switch"
+
+
+def test_close_flushes_changes_not_yet_durable(tmp_path):
+    # Registrations commit nothing by themselves: close() flushes them,
+    # as eviction does, so a restart before any install keeps them.
+    service = fleet_service(tmp_path / "root")
+    service.create_home("h1")
+    service.register_device("h1", "TV", "tv")
+    service.close()
+    service.register_device("h1", "Lamp", "switch")  # a journal record
+    service.close()
+    restarted = fleet_service(tmp_path / "root")
+    restarted.create_home("h1")
+    restarted.restore("h1")
+    devices = restarted.home("h1").home_devices
+    assert {label: d.type_name for label, d in devices.items()} == {
+        "TV": "tv", "Lamp": "switch",
+    }
+
+
+def test_audits_leave_history_and_store_as_they_were(tmp_path):
+    # An audit carries no decision: kept in the review history, every
+    # audit of a home would grow it, and each eviction would write it.
+    service = fleet_service(tmp_path / "root", max_resident_homes=1)
+    service.create_home("h1")
+    for label, type_name in (
+        ("TV", "tv"), ("Temp", "temperatureSensor"),
+        ("Window", "windowOpener"),
+    ):
+        service.register_device("h1", label, type_name)
+    for spec in (COMFORT_TV, COLD_DEFENDER):
+        service.install(InstallRequest(home_id="h1", **spec))
+    reviews = len(service.home("h1").reviews)
+    service.create_home("h2")  # evicts h1
+    before = store_bytes(tmp_path / "root" / "h1")
+    for _ in range(2):
+        reports = service.audit(AuditRequest(home_id="h1"))
+        assert any(report.threats for report in reports)
+        assert len(service.home("h1").reviews) == reviews
+        service.home("h2")  # evicts h1
+    assert store_bytes(tmp_path / "root" / "h1") == before
+
+
+def test_eviction_after_a_load_that_differed_saves_once(tmp_path):
+    # A DELETE of a kept app leaves its accepted pairs live, and a load
+    # drops them, so the first re-hydration differs from the store and
+    # its eviction writes a full save; from then on loads match and
+    # evictions write nothing.
+    service = HomeGuardService(
+        workers=None, store_root=tmp_path / "root", max_resident_homes=1
+    )
+    service.preload([
+        app_by_name(spec["app_name"])
+        for spec in (MODE_AWARE_HEATER, ITS_TOO_HOT)
+    ])
+    service.create_home("h1")
+    for label, type_name in (("Temp", "temperatureSensor"),
+                             ("Heater", "heater")):
+        service.register_device("h1", label, type_name)
+    for spec, decision in (
+        (MODE_AWARE_HEATER, "keep"), (ITS_TOO_HOT, "keep"),
+        (MODE_AWARE_HEATER, "delete"),
+    ):
+        session = service.install(InstallRequest(home_id="h1", **spec))
+        service.decide(DecisionRequest(
+            home_id="h1", session_id=session.session_id, decision=decision,
+        ))
+    service.create_home("h2")  # evicts h1
+    path = tmp_path / "root" / "h1"
+
+    def files():
+        return {p.name: p.read_bytes() for p in path.iterdir()}
+
+    before = _generation(path)
+    service.home("h1")
+    service.home("h2")  # evicts h1
+    assert _generation(path) == before + 1
+    stored = files()
+    for _ in range(2):
+        service.home("h1")
+        service.home("h2")
+        assert files() == stored
+
+
+def test_failed_eviction_flush_keeps_the_home_resident(tmp_path):
+    service = fleet_service(tmp_path / "root", max_resident_homes=1)
+    service.create_home("h1")
+    for label, type_name in (
+        ("TV", "tv"), ("Temp", "temperatureSensor"),
+        ("Window", "windowOpener"),
+    ):
+        service.register_device("h1", label, type_name)
+    service.install(InstallRequest(home_id="h1", **COMFORT_TV))
+    service.register_device("h1", "Lamp", "switch")
+    home = service.home("h1")
+    with FaultPlan([FaultSpec("store.append", kind="io-error", nth=(1,))]):
+        service.create_home("h2")
+    # The flush failed, so h1 stays over the bound with its change.
+    assert service.resident_count() == 2
+    assert service.home("h1") is home
+    service.create_home("h3")  # the flush lands: h1 and h2 leave
+    assert service.resident_count() == 1
+    assert service.home("h1").home_devices["Lamp"].type_name == "switch"
 
 
 def test_pending_sessions_pin_homes_over_the_bound(tmp_path):
