@@ -1,14 +1,14 @@
 """Fault-recovery overhead: a large audit under injected chunk crashes.
 
 The fault-tolerance layer (DESIGN.md §15) promises that worker
-failures cost only wall clock, never correctness: a crashed solve
-chunk is requeued (split-and-retry) and the batch's merged results
-stay byte-identical to a fault-free run.  This benchmark prices that
-promise at store scale:
+failures cost only wall clock, never correctness: a crashed plan
+chunk is re-planned inline in the coordinator and the batch's merged
+results stay byte-identical to a fault-free run.  This benchmark
+prices that promise at store scale:
 
 * the *clean* arm runs a cold plan/execute audit of a cloned-corpus
-  store on a thread-pool dispatcher (small chunks, so there are many
-  worker messages to kill);
+  store on a thread-pool dispatcher, whose workers plan and solve the
+  batch's plan chunks;
 * the *faulty* arm repeats the identical audit with a seeded
   :class:`~repro.testing.faults.FaultPlan` crashing ~5% of all
   ``dispatch.chunk`` executions (`error` kind — the worker raises,
@@ -19,10 +19,10 @@ Gates (the paper-shaped claims this file reproduces):
 * **identical results** — threat tuples (full fidelity: details and
   witnesses) and persisted store bytes match the clean arm exactly;
 * **exact accounting** — every fired fault is one recorded
-  ``pool_failures`` event, recoveries show up in
-  ``chunks_requeued``/``tasks_retried``, and the per-batch deltas the
-  engine drained into ``DetectionStats`` sum to the dispatcher's
-  lifetime totals (nothing double- or under-counted);
+  ``pool_failures`` event, recoveries show up in ``chunks_requeued``,
+  and the per-batch deltas the engine drained into ``DetectionStats``
+  sum to the dispatcher's lifetime totals (nothing double- or
+  under-counted);
 * **bounded overhead** — the faulty audit finishes in under
   ``OVERHEAD_GATE``x (2x) the clean wall clock: recovery re-executes
   only the lost chunks, never the batch.
@@ -52,9 +52,6 @@ _SCRIPT_APPS = 500
 FAULT_PROBABILITY = 0.05
 FAULT_SEED = 7
 OVERHEAD_GATE = 2.0
-# Small chunks make the audit many worker messages: at 500 apps the
-# faulty arm sees dozens of injected crashes, not one or two.
-CHUNK_TASKS = 4
 WORKERS = 2
 _RESULTS_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_fault_recovery.json"
@@ -92,12 +89,11 @@ def test_fault_recovery_is_invisible_and_bounded():
     rulesets, resolver = build_store(APPS)
 
     clean_seconds, clean_threats, clean_store, _ = _run_audit(
-        rulesets, resolver,
-        ThreadPoolDispatcher(WORKERS, chunk_tasks=CHUNK_TASKS),
+        rulesets, resolver, ThreadPoolDispatcher(WORKERS)
     )
     assert clean_threats, "corpus produced no threats to compare"
 
-    dispatcher = ThreadPoolDispatcher(WORKERS, chunk_tasks=CHUNK_TASKS)
+    dispatcher = ThreadPoolDispatcher(WORKERS)
     plan = FaultPlan(
         [
             FaultSpec(
@@ -127,10 +123,9 @@ def test_fault_recovery_is_invisible_and_bounded():
     # Exact accounting: one pool failure per fired fault (the `error`
     # kind crashes exactly the chunk it fires in; inline recovery is
     # shielded and can neither fire nor fail), every failure requeued
-    # at least one chunk (a crashed plan chunk is re-planned inline,
-    # a crashed solve chunk is split and its tasks retried), and the
-    # engine's drained per-batch deltas sum to the dispatcher's
-    # lifetime totals.
+    # at least one chunk (a crashed plan chunk is re-planned inline),
+    # and the engine's drained per-batch deltas sum to the
+    # dispatcher's lifetime totals.
     totals = dispatcher.fault_totals()
     assert totals["pool_failures"] == fired
     assert totals["chunks_requeued"] >= fired
@@ -157,7 +152,6 @@ def test_fault_recovery_is_invisible_and_bounded():
 
     metrics = {
         "apps": APPS,
-        "chunk_tasks": CHUNK_TASKS,
         "workers": WORKERS,
         "fault_probability": FAULT_PROBABILITY,
         "fault_seed": FAULT_SEED,

@@ -5,8 +5,8 @@ Detection planning (:meth:`repro.detector.engine.DetectionEngine
 solver and emits one :class:`SolveTask` per cache-missing constraint
 instance.  Tasks are pure data — a :class:`~repro.constraints.solver
 .VarPool` plus a :class:`~repro.constraints.terms.BoolFormula`, both
-built from frozen dataclasses — so a batch can be executed anywhere: in
-the calling thread, on a thread pool, or pickled out to a process pool.
+built from frozen dataclasses — so a batch can be solved anywhere: in
+the coordinator, or inside the plan worker that planned it.
 
 The contract every backend must honour (and the equivalence tests
 enforce) is *deterministic merge*: outcomes are keyed by task, callers
@@ -23,25 +23,20 @@ Backends
 * :class:`ThreadPoolDispatcher` — ``concurrent.futures`` threads.  The
   solver is pure Python, so the GIL caps the speedup; useful mainly as
   a cheap determinism cross-check and to overlap I/O-heavy callers.
-* :class:`ProcessPoolDispatcher` — worker processes; tasks are pickled
-  over in chunks.  This is the backend that turns the solver loop into
-  a real fan-out (the store-scale benchmark's worker sweep).
-
-Pooled backends execute *streamed*: the planner hands tasks over as it
-discovers them (:meth:`SolverDispatcher.stream`), so workers solve the
-first candidate pairs while the planner is still walking the last ones
-— planning and solving overlap instead of strictly alternating.
+* :class:`ProcessPoolDispatcher` — worker processes; plan chunks are
+  pickled over.  This is the backend that turns the solver loop into a
+  real fan-out (the store-scale benchmark's worker sweep).
 
 Parallel planning (DESIGN.md §10)
 ---------------------------------
 
-Since the parallel-planning refactor the *planning* passes fan out too:
-pooled backends shard a batch's candidate-pair list into picklable
-:class:`PlanTask` chunks that workers plan independently — each chunk
-walks its pairs against the batch solve access, builds the cache-missing
-constraint instances, solves them locally, and returns a
-:class:`PlanResult` with the outcomes plus locally-resolved planning
-verdicts (inexpressible effects, deferred pairs).  The coordinator
+Pooled backends fan out planning and solving together: they shard a
+batch's candidate-pair list into picklable :class:`PlanTask` chunks
+that workers plan independently — each chunk walks its pairs against
+the batch solve access, builds the cache-missing constraint instances,
+solves them locally, and returns a :class:`PlanResult` with the
+outcomes plus locally-resolved planning verdicts (inexpressible
+effects, deferred pairs).  The coordinator
 merges results in chunk order, so the batch state after a round is
 identical to the single-planner walk — formulas never cross the wire
 back and forth, only signatures go out and small outcomes come home.
@@ -63,7 +58,6 @@ import os
 import pickle
 import time
 import warnings
-from collections import deque
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
@@ -83,24 +77,19 @@ from repro.testing.faults import fault_hook, shielded as _fault_shield
 # unordered pairs), or ("effect", rule_id_a, rule_id_b) in rule order.
 TaskKey = tuple[str, str, str]
 
-# Tasks per worker message: one solve is ~0.1-0.2 ms, so chunking keeps
-# the pickle/IPC overhead per solve well under the solve itself.
-_CHUNK_TASKS = 64
-
 # Candidate pairs per planning chunk: planning one pair costs ~0.1 ms
 # (candidate tests + constraint lowering for cache misses), so a chunk
 # is a few ms of work — enough to amortize pickling its signatures.
 _PLAN_CHUNK_PAIRS = 96
 
 # Autotuning (DESIGN.md §12): dispatchers created with ``autotune=True``
-# re-derive both chunk sizes from the previous batch's observed costs,
-# targeting this many seconds of work per worker message; the clamps
-# keep a pathological measurement (one 50 ms solve, a zero-cost plan
-# round) from collapsing or exploding the chunking.  Chunk sizes only
-# shape scheduling — results are byte-identical at any size, which the
+# re-derive the plan-chunk size from the previous batch's observed
+# planning cost, targeting this many seconds of work per worker message;
+# the clamps keep a pathological measurement (a zero-cost plan round)
+# from collapsing or exploding the chunking.  Chunk sizes only shape
+# scheduling — results are byte-identical at any size, which the
 # fixed-chunk equivalence arms already prove.
 _TARGET_CHUNK_SECONDS = 0.008
-_CHUNK_TASKS_MIN, _CHUNK_TASKS_MAX = 8, 512
 _PLAN_CHUNK_PAIRS_MIN, _PLAN_CHUNK_PAIRS_MAX = 16, 1024
 
 # Below this many candidate pairs the auto backend stays serial: one
@@ -119,9 +108,7 @@ _MAX_POOL_FAILURES = 8
 #   pool_failures   — failed chunk executions: a worker message (or the
 #                     serial reference's inline chunk) that raised,
 #                     died with its worker, or overran solve_timeout.
-#   chunks_requeued — chunks re-executed after a failure, whether
-#                     resubmitted to the pool (split halves count
-#                     individually) or re-run inline.
+#   chunks_requeued — chunks re-executed inline after a failure.
 #   tasks_retried   — individual solve tasks re-executed after a
 #                     failure, counted once per re-execution.
 #   degraded_serial — times a dispatcher tripped into serial-degraded
@@ -177,9 +164,9 @@ class _FaultState:
 class SolveTask:
     """One deferred solver call: everything needed to decide it.
 
-    Picklable by construction (pool and formula are plain frozen
-    dataclasses over builtins), so process backends can ship it to a
-    worker without touching any engine state."""
+    Pure data (pool and formula are plain frozen dataclasses over
+    builtins), so solving it touches no engine state — in the
+    coordinator or inside a plan worker alike."""
 
     key: TaskKey
     pool: VarPool
@@ -200,35 +187,20 @@ class SolveOutcome:
     shared: bool = False
 
 
-def execute_task(task: SolveTask) -> tuple[TaskKey, SolveOutcome]:
-    """Solve one task.  Module-level so process pools can pickle it."""
-    started = time.perf_counter()
-    result = Solver(task.pool).solve(task.formula)
-    return task.key, SolveOutcome(result, time.perf_counter() - started)
-
-
 def execute_chunk(
     tasks: Sequence[SolveTask],
 ) -> list[tuple[TaskKey, SolveOutcome]]:
-    """Solve a chunk of tasks (one worker message)."""
+    """Solve a chunk of tasks in order — a plan chunk's solves, or one
+    round of the serial planner's — timing each solve."""
     fault_hook("dispatch.chunk", size=len(tasks))
-    return [execute_task(task) for task in tasks]
-
-
-def _execute_chunk_inline(
-    tasks: Sequence[SolveTask],
-) -> dict[TaskKey, SolveOutcome]:
-    """Authoritative coordinator-side re-execution of a lost chunk.
-
-    Runs with ``dispatch.*`` fault injection shielded: the inline
-    fallback models the coordinator's own process, which worker-boundary
-    faults cannot reach — and it guarantees recovery terminates even
-    under an every-call fault plan.  The solver is deterministic, so the
-    re-executed outcomes are byte-identical to what the lost worker
-    would have returned (only the timing differs, which never reaches
-    persisted bytes)."""
-    with _fault_shield("dispatch."):
-        return dict(execute_chunk(tasks))
+    outcomes = []
+    for task in tasks:
+        started = time.perf_counter()
+        result = Solver(task.pool).solve(task.formula)
+        outcomes.append(
+            (task.key, SolveOutcome(result, time.perf_counter() - started))
+        )
+    return outcomes
 
 
 # Per-pair cache knowledge shipped with a plan chunk, as small ints:
@@ -318,149 +290,6 @@ def execute_plan_task(task: PlanTask) -> PlanResult:
     return plan_pair_chunk(task)
 
 
-def _recovered_chunk(
-    tasks: Sequence[SolveTask],
-    dispatcher: "SolverDispatcher | None",
-) -> dict[TaskKey, SolveOutcome]:
-    """Serial-reference chunk execution with inline recovery.
-
-    A chunk that raises is counted as one failed execution and
-    re-executed inline (shielded), task by task, exactly once."""
-    if not tasks:
-        return {}
-    try:
-        return dict(execute_chunk(tasks))
-    except Exception:
-        if dispatcher is None:
-            raise
-        dispatcher._record_fault("pool_failures")
-        dispatcher._record_fault("chunks_requeued")
-        dispatcher._record_fault("tasks_retried", len(tasks))
-        return _execute_chunk_inline(tasks)
-
-
-class DispatchStream:
-    """One round of solves in flight.
-
-    :meth:`submit` hands freshly planned tasks to the backend (pooled
-    backends start solving immediately); :meth:`collect` blocks until
-    everything submitted is solved and returns outcomes keyed by task.
-    The serial reference implementation simply buffers and solves in
-    submission order at collect time."""
-
-    def __init__(self, dispatcher: "SolverDispatcher | None" = None) -> None:
-        self._dispatcher = dispatcher
-        self._buffered: list[SolveTask] = []
-
-    def submit(self, tasks: Iterable[SolveTask]) -> None:
-        self._buffered.extend(tasks)
-
-    def collect(self) -> dict[TaskKey, SolveOutcome]:
-        tasks, self._buffered = self._buffered, []
-        if self._dispatcher is None:
-            return dict(execute_chunk(tasks))
-        return _recovered_chunk(tasks, self._dispatcher)
-
-
-class _PooledStream(DispatchStream):
-    """Streams task chunks onto an executor as they are submitted.
-
-    Recovery (DESIGN.md §15): :meth:`collect` drains in-flight chunks
-    through a work queue.  A chunk whose future raises is requeued —
-    split into halves and resubmitted, down to singletons so a poison
-    task is isolated — and a broken executor is rebuilt on the way; a
-    chunk that overruns ``solve_timeout`` is abandoned and its tasks
-    re-executed inline in the coordinator.  Once the dispatcher trips
-    into degraded mode every remaining chunk runs inline.  Outcomes are
-    merged into a key-addressed dict, so a task solved both by a slow
-    worker and by its retry commits exactly once — and identically,
-    because the solver is deterministic."""
-
-    def __init__(self, dispatcher: "_PooledDispatcher") -> None:
-        super().__init__(dispatcher)
-        self._chunk_tasks = dispatcher.chunk_tasks
-        dispatcher._executor_or_start()
-        # (future | None, chunk) pairs; future is None for chunks that
-        # never went to the pool (submitted while degraded).
-        self._inflight: deque = deque()
-
-    def _submit_chunk(self, chunk: list[SolveTask]) -> None:
-        dispatcher = self._dispatcher
-        if dispatcher.degraded:
-            self._inflight.append((None, chunk))
-            return
-        try:
-            future = dispatcher._executor_or_start().submit(
-                execute_chunk, chunk
-            )
-        except BrokenExecutor:
-            dispatcher._reset_executor()
-            future = dispatcher._executor_or_start().submit(
-                execute_chunk, chunk
-            )
-        self._inflight.append((future, chunk))
-
-    def submit(self, tasks: Iterable[SolveTask]) -> None:
-        self._buffered.extend(tasks)
-        while len(self._buffered) >= self._chunk_tasks:
-            chunk = self._buffered[: self._chunk_tasks]
-            del self._buffered[: self._chunk_tasks]
-            self._submit_chunk(chunk)
-
-    def collect(self) -> dict[TaskKey, SolveOutcome]:
-        if self._buffered:
-            chunk, self._buffered = self._buffered, []
-            self._submit_chunk(chunk)
-        dispatcher = self._dispatcher
-        outcomes: dict[TaskKey, SolveOutcome] = {}
-        while self._inflight:
-            future, chunk = self._inflight.popleft()
-            if future is None:
-                # Queued while degraded: first execution, serial path.
-                outcomes.update(_recovered_chunk(chunk, dispatcher))
-                continue
-            try:
-                outcomes.update(future.result(timeout=dispatcher.solve_timeout))
-                continue
-            except _FuturesTimeout:
-                # Hung solve: abandon the worker's copy and re-execute
-                # inline.  If the worker finishes later its (identical)
-                # result is simply discarded with the future.
-                dispatcher._note_pool_failure()
-                future.cancel()
-            except Exception as exc:
-                dispatcher._note_pool_failure()
-                if isinstance(exc, BrokenExecutor):
-                    # The pool died (worker crash); discard it so the
-                    # next submission forks a fresh one.  Sibling
-                    # futures on the dead pool will fail on their turn
-                    # and be requeued the same way.
-                    dispatcher._reset_executor()
-                if not dispatcher.degraded and len(chunk) > 1:
-                    # Split-and-retry: isolate a poison task by
-                    # resubmitting ever-smaller halves.
-                    mid = len(chunk) // 2
-                    for half in (chunk[:mid], chunk[mid:]):
-                        dispatcher._record_fault("chunks_requeued")
-                        dispatcher._record_fault("tasks_retried", len(half))
-                        self._submit_chunk(half)
-                    continue
-                if len(chunk) == 1 and not dispatcher.degraded:
-                    warnings.warn(
-                        f"solve task {chunk[0].key!r} failed on the "
-                        f"{dispatcher.name} pool; re-executing inline "
-                        "in the coordinator",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-            # Timeout, singleton failure, or degraded: the coordinator
-            # re-executes the chunk inline, exactly once.
-            dispatcher._record_fault("chunks_requeued")
-            dispatcher._record_fault("tasks_retried", len(chunk))
-            outcomes.update(_execute_chunk_inline(chunk))
-        return outcomes
-
-
 class SolverDispatcher:
     """Executes solve tasks; base class and serial reference."""
 
@@ -473,8 +302,8 @@ class SolverDispatcher:
     # Candidate pairs per PlanTask chunk when planning remotely.
     plan_chunk_pairs = _PLAN_CHUNK_PAIRS
     # Per-chunk deadline in seconds (None = wait forever): a pooled
-    # chunk whose future has not resolved within this long is abandoned
-    # and its tasks re-executed inline (DESIGN.md §15).
+    # plan chunk whose future has not resolved within this long is
+    # abandoned and re-planned inline (DESIGN.md §15).
     solve_timeout: float | None = None
     # Failed worker messages per batch before degrading to serial.
     max_pool_failures = _MAX_POOL_FAILURES
@@ -544,9 +373,8 @@ class SolverDispatcher:
         """Prepare a resolver for shipping inside :class:`PlanTask`s.
 
         Returns ``None`` when the resolver cannot travel to this
-        backend's workers, which makes the engine fall back to inline
-        planning (solve dispatch is unaffected — :class:`SolveTask`\\ s
-        are picklable by construction)."""
+        backend's workers, which makes the engine plan and solve the
+        batch inline in the coordinator."""
         return resolver
 
     def encode_cache(self, cache: object) -> object | None:
@@ -557,17 +385,10 @@ class SolverDispatcher:
         consults; solving is unaffected)."""
         return cache
 
-    def observe_batch(
-        self,
-        plan_cpu: float,
-        pairs: int,
-        solves: int,
-        solve_cpu: float,
-    ) -> None:
+    def observe_batch(self, plan_cpu: float, pairs: int) -> None:
         """Feedback after a detection batch: summed planning CPU over
-        ``pairs`` candidate pairs and summed solver CPU over ``solves``
-        executed tasks.  Autotuning backends re-derive their chunk
-        sizes from it; the base class ignores it."""
+        ``pairs`` candidate pairs.  Autotuning backends re-derive their
+        plan-chunk size from it; the base class ignores it."""
 
     def plan_stream(
         self, tasks: Sequence[PlanTask]
@@ -576,17 +397,29 @@ class SolverDispatcher:
         serial reference plans lazily, one chunk per pull."""
         return (execute_plan_task(task) for task in tasks)
 
-    def stream(self) -> DispatchStream:
-        """A fresh stream for one round of planned tasks."""
-        return DispatchStream(self)
-
     def run(
         self, tasks: Sequence[SolveTask]
     ) -> dict[TaskKey, SolveOutcome]:
-        """Execute a ready-made task list (non-streamed convenience)."""
-        stream = self.stream()
-        stream.submit(tasks)
-        return stream.collect()
+        """Solve one planning round's tasks in the coordinator — the
+        serial planner's solve step.
+
+        A chunk that raises is counted as one failed execution and
+        re-executed exactly once with ``dispatch.*`` fault injection
+        shielded: the retry models the coordinator's own process, which
+        worker-boundary faults cannot reach, so recovery terminates even
+        under an every-call fault plan.  The solver is deterministic, so
+        the re-executed outcomes are byte-identical (only the timing
+        differs, which never reaches persisted bytes)."""
+        if not tasks:
+            return {}
+        try:
+            return dict(execute_chunk(tasks))
+        except Exception:
+            self._record_fault("pool_failures")
+            self._record_fault("chunks_requeued")
+            self._record_fault("tasks_retried", len(tasks))
+            with _fault_shield("dispatch."):
+                return dict(execute_chunk(tasks))
 
     def close(self) -> None:
         """Release any pooled workers (no-op for the serial backend)."""
@@ -615,7 +448,6 @@ class _PooledDispatcher(SolverDispatcher):
     def __init__(
         self,
         workers: int = 4,
-        chunk_tasks: int = _CHUNK_TASKS,
         plan_chunk_pairs: int = _PLAN_CHUNK_PAIRS,
         autotune: bool = False,
         solve_timeout: float | None = None,
@@ -623,8 +455,6 @@ class _PooledDispatcher(SolverDispatcher):
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_tasks < 1:
-            raise ValueError(f"chunk_tasks must be >= 1, got {chunk_tasks}")
         if plan_chunk_pairs < 1:
             raise ValueError(
                 f"plan_chunk_pairs must be >= 1, got {plan_chunk_pairs}"
@@ -638,37 +468,23 @@ class _PooledDispatcher(SolverDispatcher):
                 f"max_pool_failures must be >= 1, got {max_pool_failures}"
             )
         self.workers = workers
-        self.chunk_tasks = chunk_tasks
         self.plan_chunk_pairs = plan_chunk_pairs
         self.solve_timeout = solve_timeout
         self.max_pool_failures = max_pool_failures
-        # With autotune on, observe_batch() re-derives both chunk sizes
-        # from each batch's measured plan/solve costs; explicit
-        # chunk_tasks/plan_chunk_pairs settings stay fixed otherwise.
+        # With autotune on, observe_batch() re-derives plan_chunk_pairs
+        # from each batch's measured planning cost; an explicit setting
+        # stays fixed otherwise.
         self.autotune = autotune
         self._executor: Executor | None = None
 
-    def observe_batch(
-        self,
-        plan_cpu: float,
-        pairs: int,
-        solves: int,
-        solve_cpu: float,
-    ) -> None:
-        """Retarget both chunk sizes at :data:`_TARGET_CHUNK_SECONDS`
-        of measured work per worker message (DESIGN.md §12).  Cheap
-        solves pack more per message (less IPC per solve), expensive
-        solves spread thinner (better load balance); likewise for
-        planning chunks.  Results never depend on chunk sizes, so the
-        adaptation is a pure scheduling change."""
+    def observe_batch(self, plan_cpu: float, pairs: int) -> None:
+        """Retarget the plan-chunk size at :data:`_TARGET_CHUNK_SECONDS`
+        of measured planning work per worker message (DESIGN.md §12).
+        Cheap pairs pack more per message (less IPC per pair), expensive
+        ones spread thinner (better load balance).  Results never depend
+        on chunk sizes, so the adaptation is a pure scheduling change."""
         if not self.autotune:
             return
-        if solves > 0 and solve_cpu > 0.0:
-            per_solve = solve_cpu / solves
-            self.chunk_tasks = max(
-                _CHUNK_TASKS_MIN,
-                min(_CHUNK_TASKS_MAX, int(_TARGET_CHUNK_SECONDS / per_solve)),
-            )
         if pairs > 0 and plan_cpu > 0.0:
             per_pair = plan_cpu / pairs
             self.plan_chunk_pairs = max(
@@ -696,8 +512,9 @@ class _PooledDispatcher(SolverDispatcher):
 
     def _plan_inline(self, task: PlanTask) -> PlanResult:
         """Coordinator-side re-planning of a lost plan chunk (shielded,
-        like :func:`_execute_chunk_inline`; planning is deterministic,
-        so the result matches what the lost worker would have sent)."""
+        like the retry in :meth:`SolverDispatcher.run`; planning is
+        deterministic, so the result matches what the lost worker would
+        have sent)."""
         with _fault_shield("dispatch."):
             return execute_plan_task(task)
 
@@ -740,18 +557,12 @@ class _PooledDispatcher(SolverDispatcher):
                     self._note_pool_failure()
                     if isinstance(exc, BrokenExecutor):
                         self._reset_executor()
-                # Plan chunks are never split (they are already small);
-                # the coordinator re-plans the chunk inline, preserving
-                # the chunk-order merge.
+                # The coordinator re-plans the lost chunk inline,
+                # preserving the chunk-order merge.
                 self._record_fault("chunks_requeued")
                 yield self._plan_inline(task)
 
         return results()
-
-    def stream(self) -> DispatchStream:
-        if self.degraded:
-            return DispatchStream(self)
-        return _PooledStream(self)
 
     def close(self) -> None:
         if self._executor is not None:
@@ -782,18 +593,16 @@ class ProcessPoolDispatcher(_PooledDispatcher):
         """Pickle the resolver once per batch; every chunk ships the
         same bytes and workers decode them once per process.  An
         unpicklable resolver (e.g. one closed over live handles)
-        returns ``None`` — the engine then plans inline, exactly the
-        pre-parallel-planning behavior, while solving still fans out.
-        The fallback warns so "why is planning serial?" is
-        diagnosable."""
+        returns ``None`` — the engine then plans and solves the whole
+        batch in the coordinator.  The fallback warns so "why is
+        detection serial?" is diagnosable."""
         try:
             return pickle.dumps(resolver)
         except Exception as exc:
             warnings.warn(
                 f"resolver of type {type(resolver).__name__} is not "
-                f"picklable ({type(exc).__name__}: {exc}); planning "
-                "falls back to the inline serial path while solve "
-                "dispatch stays pooled",
+                f"picklable ({type(exc).__name__}: {exc}); the batch "
+                "plans and solves inline in the coordinator",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -844,9 +653,9 @@ class AutoDispatcher(SolverDispatcher):
             return self._serial.for_batch(pair_count)
         if self._pool is None:
             # The adaptive backend also adapts its chunking: each
-            # batch's observed plan/solve costs retune the pool's
-            # chunk_tasks / plan_chunk_pairs for the next one
-            # (DESIGN.md §12) instead of trusting the fixed defaults.
+            # batch's observed planning cost retunes the pool's
+            # plan_chunk_pairs for the next one (DESIGN.md §12) instead
+            # of trusting the fixed default.
             self._pool = ProcessPoolDispatcher(
                 self.workers,
                 autotune=True,
@@ -869,11 +678,6 @@ class AutoDispatcher(SolverDispatcher):
                 merged[field] += count
         return merged
 
-    def stream(self) -> DispatchStream:
-        # Direct (non-batch-sized) use falls back to the serial
-        # reference; detection always routes through for_batch().
-        return self._serial.stream()
-
     def close(self) -> None:
         if self._pool is not None:
             self._pool.close()
@@ -893,38 +697,26 @@ class SolveBatch:
     Planning may run in several rounds (a condition solve is only
     needed once the pair's situation solve came back UNSAT, mirroring
     the serial engine's Fig. 9 reuse), so the batch tracks which tasks
-    are still unexecuted; :meth:`take_pending` feeds exactly those to a
-    dispatch stream and :meth:`absorb` merges the stream's outcomes."""
+    are still unexecuted; :meth:`take_pending` hands exactly those to
+    the dispatcher and :meth:`absorb` merges the outcomes."""
 
-    __slots__ = ("_tasks", "_pending", "requested", "outcomes")
+    __slots__ = ("_pending", "requested", "outcomes")
 
     def __init__(self) -> None:
-        self._tasks: list[SolveTask] = []
         self._pending: list[SolveTask] = []
         self.requested: set[TaskKey] = set()
         self.outcomes: dict[TaskKey, SolveOutcome] = {}
-
-    def __len__(self) -> int:
-        return len(self._tasks)
-
-    def __iter__(self):
-        return iter(self._tasks)
-
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
 
     def add(self, task: SolveTask) -> bool:
         """Queue a task unless its key is already requested."""
         if task.key in self.requested:
             return False
         self.requested.add(task.key)
-        self._tasks.append(task)
         self._pending.append(task)
         return True
 
     def take_pending(self) -> list[SolveTask]:
-        """Pop the tasks queued since the last call (stream feed)."""
+        """Pop the tasks queued since the last call."""
         tasks, self._pending = self._pending, []
         return tasks
 
@@ -947,16 +739,6 @@ class SolveBatch:
 
     def outcome(self, key: TaskKey) -> SolveOutcome | None:
         return self.outcomes.get(key)
-
-    def execute(self, dispatcher: SolverDispatcher) -> float:
-        """Run every not-yet-executed task in one go; returns the wall
-        seconds the dispatch took (non-streamed convenience)."""
-        tasks = self.take_pending()
-        if not tasks:
-            return 0.0
-        started = time.perf_counter()
-        self.absorb(dispatcher.run(tasks))
-        return time.perf_counter() - started
 
 
 def make_dispatcher(

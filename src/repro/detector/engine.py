@@ -156,8 +156,8 @@ class DetectionStats:
     # Fault-recovery accounting (DESIGN.md §15), drained from the
     # dispatcher once per batch so every recovery event lands in
     # exactly one batch's stats: solve tasks re-executed after a
-    # worker failure, chunks requeued (resubmitted or re-run inline),
-    # failed worker messages, and serial-degraded-mode trips.
+    # worker failure, chunks re-run inline after a failure, failed
+    # worker messages, and serial-degraded-mode trips.
     tasks_retried: int = 0
     chunks_requeued: int = 0
     pool_failures: int = 0
@@ -660,7 +660,7 @@ class DetectionEngine:
         run = _BatchRun()
         resolver_payload = None
         cache_payload = None
-        if dispatcher.plans_remotely and len(pairs) > 1:
+        if dispatcher.plans_remotely:
             resolver_payload = dispatcher.encode_resolver(self._resolver)
             cache_payload = dispatcher.encode_cache(self.shared_cache)
         plan_cpu_before = self.stats.plan_cpu_seconds
@@ -685,16 +685,8 @@ class DetectionEngine:
                     "batch planning stalled: deferred pairs without tasks"
                 )
             pending = deferred
-        executed = [
-            outcome
-            for outcome in run.batch.outcomes.values()
-            if not outcome.shared
-        ]
         dispatcher.observe_batch(
-            self.stats.plan_cpu_seconds - plan_cpu_before,
-            len(pairs),
-            len(executed),
-            sum(outcome.seconds for outcome in executed),
+            self.stats.plan_cpu_seconds - plan_cpu_before, len(pairs)
         )
         # Drain the dispatcher's recovery counters into this batch's
         # stats (DESIGN.md §15).  take semantics mean every retry /
@@ -721,11 +713,9 @@ class DetectionEngine:
         dispatcher: SolverDispatcher,
     ) -> tuple[list[int], int]:
         """One single-planner round: walk the pending pairs in order,
-        streaming fresh tasks to the backend, then block on the solves.
-        Returns (deferred pair indices, tasks submitted)."""
+        then solve the round's tasks through :meth:`SolverDispatcher.run`.
+        Returns (deferred pair indices, tasks solved)."""
         plan_started = time.perf_counter()
-        stream = dispatcher.stream()
-        submitted = 0
         deferred: list[int] = []
         for i in pending:
             ctx = _BatchSolves(self, run, record=False)
@@ -733,23 +723,17 @@ class DetectionEngine:
             self._detect_pair(sig_a, sig_b, ctx)
             if ctx.pending:
                 deferred.append(i)
-            # Feed freshly planned tasks to the backend right away:
-            # pooled dispatchers start solving the first pairs while
-            # the planner still walks the rest of the batch.
-            tasks = run.batch.take_pending()
-            if tasks:
-                submitted += len(tasks)
-                stream.submit(tasks)
         plan_elapsed = time.perf_counter() - plan_started
         self.stats.plan_seconds += plan_elapsed
         self.stats.plan_cpu_seconds += plan_elapsed
-        if submitted:
-            collect_started = time.perf_counter()
-            run.batch.absorb(stream.collect())
+        tasks = run.batch.take_pending()
+        if tasks:
+            solve_started = time.perf_counter()
+            run.batch.absorb(dispatcher.run(tasks))
             self.stats.dispatch_seconds += (
-                time.perf_counter() - collect_started
+                time.perf_counter() - solve_started
             )
-        return deferred, submitted
+        return deferred, len(tasks)
 
     def _plan_round_chunked(
         self,

@@ -323,13 +323,19 @@ class _JournalState:
     base generation being extended, the next record sequence number,
     size counters for the compaction trigger, and the set of cache
     keys currently persisted (base + journal) per cache kind, which is
-    what turns the engine's full cache export into a delta."""
+    what turns the engine's full cache export into a delta.
+    ``unwritten`` holds the records built but not yet appended (a
+    failed append leaves them for the next commit), each with the
+    persisted key sets it leads to."""
 
     base: int
     next_seq: int
     records: int
     bytes: int
     persisted: dict[str, set[tuple]]
+    unwritten: list[tuple[dict, dict[str, set[tuple]]]] = field(
+        default_factory=list
+    )
 
 
 # ----------------------------------------------------------------------
@@ -629,12 +635,18 @@ class DetectionStore:
     def _append(
         self,
         pipeline: DetectionPipeline,
-        build_record: Callable[[int, int], dict],
+        build_record: Callable[
+            [int, int, dict[str, set[tuple]]],
+            tuple[dict, dict[str, set[tuple]]],
+        ],
         rulesets: Mapping[str, RuleSet] | None,
         frontend: FrontendDelta | None,
     ) -> StoreCommit:
-        """Append ``build_record(seq, base)``'s journal record, with the
-        frontend ops attached.
+        """Append ``build_record(seq, base, persisted)``'s journal
+        record, with the frontend ops attached; the builder returns the
+        record and the persisted cache-key sets it leads to, and the
+        store adopts those only once the record is durable.  Records an
+        earlier failed append left unwritten go first.
 
         Seeds a base with a full :meth:`save` instead when there is no
         usable snapshot to delta against (or a v3 one, which this
@@ -655,14 +667,14 @@ class DetectionStore:
                 written, time.perf_counter() - start, full=True
             )
         state = self._journal
-        record = build_record(state.next_seq, state.base)
+        tip = state.unwritten[-1][1] if state.unwritten else state.persisted
+        record, persisted = build_record(
+            state.next_seq + len(state.unwritten), state.base, tip
+        )
         if frontend is not None and frontend.ops:
             record["frontend_ops"] = frontend.ops
-        line = json.dumps(record, default=str)
-        written = self.backend.append_journal(_JOURNAL_FILE, line)
-        state.next_seq += 1
-        state.records += 1
-        state.bytes += written
+        state.unwritten.append((record, persisted))
+        written = self._write_unwritten(state)
         if frontend is not None:
             frontend.on_durable()
         compacted = (
@@ -674,6 +686,39 @@ class DetectionStore:
         return StoreCommit(
             written, time.perf_counter() - start, compacted=compacted
         )
+
+    def _write_unwritten(self, state: _JournalState) -> int:
+        """Append the unwritten records oldest first, advancing the
+        cursor after each durable one; returns the bytes appended.
+
+        When an append fails, the records still unwritten stay queued
+        for the next commit without their frontend ops (the caller's
+        queue resends those with it), frontend-only records left empty
+        by that are dropped, and the rest are renumbered to follow the
+        journal's last durable record."""
+        written = 0
+        while state.unwritten:
+            record, persisted = state.unwritten[0]
+            try:
+                appended = self.backend.append_journal(
+                    _JOURNAL_FILE, json.dumps(record, default=str)
+                )
+            except BaseException:
+                kept = []
+                for pending, after in state.unwritten:
+                    pending.pop("frontend_ops", None)
+                    if pending["op"] != "frontend":
+                        pending["seq"] = state.next_seq + len(kept)
+                        kept.append((pending, after))
+                state.unwritten = kept
+                raise
+            del state.unwritten[0]
+            state.persisted = persisted
+            state.next_seq += 1
+            state.records += 1
+            state.bytes += appended
+            written += appended
+        return written
 
     def commit_app(
         self,
@@ -696,13 +741,15 @@ class DetectionStore:
         state a full :meth:`save` would have written (see
         :meth:`_append` for the seeding and compaction saves)."""
 
-        def build_record(seq: int, base: int) -> dict:
-            persisted = self._journal.persisted
+        def build_record(
+            seq: int, base: int, persisted: dict[str, set[tuple]]
+        ) -> tuple[dict, dict[str, set[tuple]]]:
+            after = dict(persisted)
             installed = pipeline.installed_signatures()
             if remove or app_name not in installed:
                 prefix = f"{app_name}/"
                 for kind in journal_format.CACHE_KINDS:
-                    persisted[kind] = {
+                    after[kind] = {
                         key
                         for key in persisted[kind]
                         if not any(
@@ -711,7 +758,8 @@ class DetectionStore:
                             for rule_id in key
                         )
                     }
-                return journal_format.remove_record(seq, base, app_name)
+                record = journal_format.remove_record(seq, base, app_name)
+                return record, after
             sigs = installed[app_name]
             ruleset = _ruleset_of(app_name, sigs, rulesets)
             fingerprint = self._fingerprint(
@@ -731,7 +779,7 @@ class DetectionStore:
                     if any(app not in installed for app in owners):
                         continue
                     eligible[tuple(rule_ids)] = [rule_ids, result]
-                known = persisted.setdefault(kind, set())
+                known = persisted.get(kind, set())
                 cache_add[kind] = [
                     entry
                     for key, entry in eligible.items()
@@ -740,8 +788,8 @@ class DetectionStore:
                 cache_drop[kind] = sorted(
                     list(key) for key in known if key not in eligible
                 )
-                persisted[kind] = set(eligible)
-            return journal_format.commit_record(
+                after[kind] = set(eligible)
+            record = journal_format.commit_record(
                 seq,
                 base,
                 app_name,
@@ -752,6 +800,7 @@ class DetectionStore:
                 cache_add,
                 cache_drop,
             )
+            return record, after
 
         return self._append(pipeline, build_record, rulesets, frontend)
 
@@ -774,10 +823,15 @@ class DetectionStore:
         if frontend.ops == []:
             if self._journal is None:
                 self._init_journal()
-            if self._journal is not None:
+            if self._journal is not None and not self._journal.unwritten:
                 return StoreCommit(0, 0.0)
         return self._append(
-            pipeline, journal_format.frontend_record, rulesets, frontend
+            pipeline,
+            lambda seq, base, persisted: (
+                journal_format.frontend_record(seq, base), persisted
+            ),
+            rulesets,
+            frontend,
         )
 
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.capabilities.devices import make_device_id
+from repro.capabilities.devices import DEVICE_TYPES, make_device_id
 from repro.config.messaging import MessageRecord
 from repro.config.recorder import ConfigRecorder, RuleRecorder
 from repro.config.uri import ConfigPayload, decode_uri
@@ -44,6 +44,7 @@ from repro.rules.extractor import RuleExtractor
 from repro.runtime.events import Event
 from repro.rules.interpreter import describe_rule
 from repro.rules.model import RuleSet
+from repro.service.errors import InvalidRequestError
 
 if TYPE_CHECKING:
     from repro.constraints.dispatch import SolverDispatcher
@@ -231,7 +232,13 @@ class TenantHome:
     def register_device(self, label: str, type_name: str) -> InstalledDevice:
         """Register (or re-type) a physical device under a home-unique
         label.  Device ids are deterministic per label, so the same
-        home described twice binds the same identities."""
+        home described twice binds the same identities.  An unknown
+        device type raises :class:`InvalidRequestError`."""
+        if type_name not in DEVICE_TYPES:
+            raise InvalidRequestError(
+                f"unknown device type {type_name!r}",
+                label=label, type=type_name,
+            )
         device = InstalledDevice(
             device_id=make_device_id(f"hg:{label}"),
             label=label,
@@ -252,10 +259,23 @@ class TenantHome:
 
         Each value is a registered device *label*, or a bare device
         type name — a device of that type is auto-registered on first
-        use.  Returns ``(input -> device id, device id -> type)``."""
+        use.  Returns ``(input -> device id, device id -> type)``.  A
+        value that is neither raises :class:`InvalidRequestError` before
+        anything is registered, leaving the home unchanged."""
+        devices = devices or {}
+        for input_name, type_or_label in devices.items():
+            if (
+                type_or_label not in self.home_devices
+                and type_or_label not in DEVICE_TYPES
+            ):
+                raise InvalidRequestError(
+                    f"device {type_or_label!r} for input {input_name!r} "
+                    "is neither a registered label nor a device type",
+                    input=input_name, device=type_or_label,
+                )
         bound: dict[str, str] = {}
         types: dict[str, str] = {}
-        for input_name, type_or_label in (devices or {}).items():
+        for input_name, type_or_label in devices.items():
             if type_or_label in self.home_devices:
                 device = self.home_devices[type_or_label]
             else:

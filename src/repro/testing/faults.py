@@ -17,7 +17,9 @@ platforms (Linux, the only platform this repo targets) pool workers
 created *after* the plan is installed inherit both the plan and the
 shared counters, so one plan spans serial, thread-pool and
 process-pool dispatch.  Fault events are appended as JSON lines to an
-optional log file (append-mode writes, safe across processes).
+optional log file (append-mode writes, safe across processes); each
+carries its wall-clock time ``t`` and its plan's ``plan`` token, so
+plans sharing one log file read back only their own events.
 
 Fault kinds
 -----------
@@ -175,6 +177,7 @@ class FaultPlan:
     ) -> None:
         self.seed = int(seed)
         self.log_path = os.fspath(log_path) if log_path is not None else None
+        self.token = os.urandom(8).hex()
         self._specs: dict[str, tuple[FaultSpec, ...]] = {}
         for spec in specs:
             self._specs[spec.point] = self._specs.get(spec.point, ()) + (spec,)
@@ -197,7 +200,8 @@ class FaultPlan:
         return sum(int(slot.value) for slot in self._fired.values())
 
     def events(self) -> list[dict]:
-        """Parse the JSON-lines event log (empty if no log configured)."""
+        """This plan's events from the JSON-lines log (empty if no log
+        is configured); other plans' events in a shared log are skipped."""
         if self.log_path is None or not os.path.exists(self.log_path):
             return []
         out = []
@@ -205,7 +209,9 @@ class FaultPlan:
             for line in handle:
                 line = line.strip()
                 if line:
-                    out.append(json.loads(line))
+                    event = json.loads(line)
+                    if event.get("plan") == self.token:
+                        out.append(event)
         return out
 
     # -- firing --------------------------------------------------------
@@ -236,6 +242,8 @@ class FaultPlan:
             "index": index,
             "pid": os.getpid(),
             "tag": _current_tag(),
+            "plan": self.token,
+            "t": time.time(),
         }
         event.update(info)
         line = json.dumps(event, sort_keys=True) + "\n"

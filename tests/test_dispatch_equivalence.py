@@ -25,7 +25,7 @@ import pytest
 from repro.constraints import TypeBasedResolver
 from repro.constraints.dispatch import (
     AutoDispatcher,
-    DispatchStream,
+    PlanTask,
     ProcessPoolDispatcher,
     SerialDispatcher,
     SolverDispatcher,
@@ -254,16 +254,10 @@ class _RecordingDispatcher(SerialDispatcher):
     def __init__(self):
         self.outcomes = {}
 
-    def stream(self):
-        outer = self
-
-        class _Recording(DispatchStream):
-            def collect(self):
-                outcomes = super().collect()
-                outer.outcomes.update(outcomes)
-                return outcomes
-
-        return _Recording()
+    def run(self, tasks):
+        outcomes = super().run(tasks)
+        self.outcomes.update(outcomes)
+        return outcomes
 
 
 def test_total_solve_seconds_counts_each_task_once():
@@ -357,33 +351,26 @@ def test_observe_batch_autotunes_chunk_sizes():
     # that results never move); here: the sizes actually retarget at
     # ~8ms per worker message, clamped, and only with autotune on.
     tuned = ProcessPoolDispatcher(2, autotune=True)
-    # Cheap solves (0.1 ms each) -> bigger chunks, clamped at 512/1024.
-    tuned.observe_batch(plan_cpu=0.01, pairs=1000, solves=100,
-                        solve_cpu=0.01)
-    assert tuned.chunk_tasks == 80  # 8ms / 0.1ms
-    assert tuned.plan_chunk_pairs == 800
-    tuned.observe_batch(plan_cpu=0.0001, pairs=1000, solves=1000,
-                        solve_cpu=0.0001)
-    assert tuned.chunk_tasks == 512
+    # Cheap pairs (10 us each) -> bigger chunks, clamped at 1024.
+    tuned.observe_batch(plan_cpu=0.01, pairs=1000)
+    assert tuned.plan_chunk_pairs == 800  # 8ms / 10us
+    tuned.observe_batch(plan_cpu=0.0001, pairs=1000)
     assert tuned.plan_chunk_pairs == 1024
-    # Expensive solves (10 ms each) -> clamped at the floors.
-    tuned.observe_batch(plan_cpu=10.0, pairs=100, solves=100,
-                        solve_cpu=1.0)
-    assert tuned.chunk_tasks == 8
+    # Expensive pairs (100 ms each) -> clamped at the floor.
+    tuned.observe_batch(plan_cpu=10.0, pairs=100)
     assert tuned.plan_chunk_pairs == 16
-    # Empty/zero observations never divide by zero or move the sizes.
-    tuned.observe_batch(plan_cpu=0.0, pairs=0, solves=0, solve_cpu=0.0)
-    assert (tuned.chunk_tasks, tuned.plan_chunk_pairs) == (8, 16)
+    # Empty/zero observations never divide by zero or move the size.
+    tuned.observe_batch(plan_cpu=0.0, pairs=0)
+    assert tuned.plan_chunk_pairs == 16
     tuned.close()
 
     fixed = ProcessPoolDispatcher(2)
-    before = (fixed.chunk_tasks, fixed.plan_chunk_pairs)
-    fixed.observe_batch(plan_cpu=0.01, pairs=1000, solves=100,
-                        solve_cpu=0.01)
-    assert (fixed.chunk_tasks, fixed.plan_chunk_pairs) == before
+    before = fixed.plan_chunk_pairs
+    fixed.observe_batch(plan_cpu=0.01, pairs=1000)
+    assert fixed.plan_chunk_pairs == before
     fixed.close()
     # The base protocol is a no-op for non-pooled backends.
-    SerialDispatcher().observe_batch(0.1, 10, 10, 0.1)
+    SerialDispatcher().observe_batch(0.1, 10)
     # AutoDispatcher's lazily created pool runs autotuned.
     auto = AutoDispatcher(workers=2, min_batch=1)
     try:
@@ -423,19 +410,23 @@ def test_unpicklable_resolver_falls_back_to_inline_planning(tmp_path):
     rulesets, hints, values = _demo_corpus()
     reference = _audit((rulesets, hints, values), None, tmp_path, "inline")
 
+    dispatcher = ProcessPoolDispatcher(2)
     pipeline = DetectionPipeline(
         _UnpicklableResolver(type_hints=hints, values=values),
-        dispatcher=ProcessPoolDispatcher(2),
+        dispatcher=dispatcher,
     )
     try:
-        reports = pipeline.audit_store(rulesets)
+        with pytest.warns(RuntimeWarning, match="plans and solves inline"):
+            reports = pipeline.audit_store(rulesets)
         assert _full_threats(reports) == reference["threats"]
         assert json.dumps(
             pipeline.engine.export_caches(), default=str
         ) == reference["caches"]
-        # Planning stayed on the coordinator (no chunk fan-out), but
-        # solve dispatch still ran — the pre-parallel-planning mode.
+        # Planning and solving both stayed on the coordinator: the
+        # single-planner rounds ran and the pool was never started.
         assert pipeline.stats.plan_cpu_seconds > 0.0
+        assert pipeline.stats.solver_calls > 0
+        assert dispatcher._executor is None
     finally:
         pipeline.close()
 
@@ -454,14 +445,10 @@ def test_prescreen_counters_attributed_once():
 
 
 class _ExplodingDispatcher(SerialDispatcher):
-    """Fails at collect time, like a broken worker pool would."""
+    """Fails at solve time, like a broken worker pool would."""
 
-    def stream(self):
-        class _Broken(DispatchStream):
-            def collect(self):
-                raise RuntimeError("worker pool died")
-
-        return _Broken()
+    def run(self, tasks):
+        raise RuntimeError("worker pool died")
 
 
 def test_failed_batch_audit_rolls_back_installs():
@@ -493,8 +480,8 @@ def test_failed_batch_audit_rolls_back_installs():
 def test_dispatcher_context_manager_closes_pool():
     with ThreadPoolDispatcher(2) as dispatcher:
         assert isinstance(dispatcher, SolverDispatcher)
-        stream = dispatcher.stream()
-        stream.submit([])
-        assert stream.collect() == {}
+        empty = PlanTask(pairs=(), known=(), resolver=TypeBasedResolver())
+        (result,) = dispatcher.plan_stream([empty])
+        assert result.outcomes == () and result.deferred == ()
         assert dispatcher._executor is not None
     assert dispatcher._executor is None

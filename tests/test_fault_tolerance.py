@@ -25,11 +25,8 @@ from repro.constraints import TypeBasedResolver
 from repro.constraints.dispatch import (
     ProcessPoolDispatcher,
     SerialDispatcher,
-    SolveTask,
     ThreadPoolDispatcher,
 )
-from repro.constraints.solver import VarPool
-from repro.constraints.terms import AffineTerm, CmpAtom, lit
 from repro.constraints.solvecache import SQLiteSolveCache
 from repro.corpus import demo_apps
 from repro.detector import DetectionPipeline, DetectionStore
@@ -99,7 +96,11 @@ def _audit(corpus, dispatcher, tmp_path, label, shared_cache=None):
     )
     try:
         reports = pipeline.audit_store(rulesets)
+        # Taken before close(): a thread pool's close waits out a hung
+        # worker, which recovery itself must not.
+        ended = time.time()
         return {
+            "ended": ended,
             "threats": _full_threats(reports),
             "caches": json.dumps(
                 pipeline.engine.export_caches(), default=str
@@ -121,6 +122,20 @@ def _audit(corpus, dispatcher, tmp_path, label, shared_cache=None):
         }
     finally:
         pipeline.close()
+
+
+def _event_log(tmp_path, name):
+    # FAULT_EVENT_LOG (set by `make test-faults`) collects every
+    # injected event in one append-mode file for the CI artifact.
+    return os.environ.get("FAULT_EVENT_LOG") or tmp_path / f"{name}.jsonl"
+
+
+def _recovery_seconds(plan, outcome):
+    """Wall seconds from the plan's last injected fault to the end of
+    the audit it hit."""
+    events = plan.events()
+    assert events, "the plan logged no fault events"
+    return outcome["ended"] - max(event["t"] for event in events)
 
 
 def _assert_equivalent(outcome, reference, label):
@@ -339,14 +354,13 @@ def test_shielded_suppresses_matching_points():
 
 
 # (name, dispatcher factory, fault cadence).  The serial reference
-# executes one chunk per planning round, so its cadence is every=1;
-# the pooled backends chunk finely and take a fault every third chunk.
+# solves one chunk per planning round, so its cadence is every=1; the
+# pooled backends plan and solve 2-pair plan chunks and take a fault
+# every third chunk, which the coordinator re-plans inline.
 CHAOS_BACKENDS = [
     ("serial", lambda: SerialDispatcher(), 1),
-    ("thread2", lambda: ThreadPoolDispatcher(
-        2, chunk_tasks=2, plan_chunk_pairs=2), 3),
-    ("process2", lambda: ProcessPoolDispatcher(
-        2, chunk_tasks=2, plan_chunk_pairs=2), 3),
+    ("thread2", lambda: ThreadPoolDispatcher(2, plan_chunk_pairs=2), 3),
+    ("process2", lambda: ProcessPoolDispatcher(2, plan_chunk_pairs=2), 3),
 ]
 
 
@@ -359,18 +373,17 @@ def test_chunk_crashes_never_change_results(name, factory, every, tmp_path):
     dispatcher = factory()
     # Install before the audit so lazily forked pool workers inherit
     # the plan and its shared counters.
-    # FAULT_EVENT_LOG (set by `make test-faults`) collects every
-    # injected event in one append-mode file for the CI artifact.
     plan = FaultPlan(
         [FaultSpec("dispatch.chunk", kind="error", every=every)],
-        log_path=os.environ.get("FAULT_EVENT_LOG")
-        or tmp_path / f"{name}.jsonl",
+        log_path=_event_log(tmp_path, name),
     )
     with plan, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         outcome = _audit(corpus, dispatcher, tmp_path, name)
     assert plan.fired("dispatch.chunk") > 0, name
     _assert_equivalent(outcome, reference, name)
+    # Recovery is prompt: inline re-execution, no deadline waited out.
+    assert _recovery_seconds(plan, outcome) < 2.0, name
     retried, requeued, failures, degraded = outcome["faults"]
     assert failures > 0, name
     assert requeued > 0, name
@@ -396,11 +409,14 @@ def test_hung_solve_hits_deadline_and_recovers_inline(tmp_path):
     corpus = _demo_corpus()
     reference = _audit(corpus, None, tmp_path, "inline")
     dispatcher = ThreadPoolDispatcher(
-        2, chunk_tasks=4, plan_chunk_pairs=10_000, solve_timeout=0.05
+        2, plan_chunk_pairs=10_000, solve_timeout=0.05
     )
-    with FaultPlan(
-        [FaultSpec("dispatch.chunk", kind="hang", delay=0.4, nth=(1,))]
-    ) as plan, warnings.catch_warnings():
+    delay = 1.0
+    plan = FaultPlan(
+        [FaultSpec("dispatch.chunk", kind="hang", delay=delay, nth=(1,))],
+        log_path=_event_log(tmp_path, "hang"),
+    )
+    with plan, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         outcome = _audit(corpus, dispatcher, tmp_path, "hang")
     assert plan.fired("dispatch.chunk") == 1
@@ -409,108 +425,46 @@ def test_hung_solve_hits_deadline_and_recovers_inline(tmp_path):
     assert failures >= 1  # the hung chunk (plus any queued behind it)
     assert requeued >= 1
     assert degraded == 0
-
-
-def _synthetic_tasks(count):
-    """Trivial solvable tasks for driving the solve stream directly."""
-    tasks = []
-    for index in range(count):
-        pool = VarPool()
-        pool.declare_num("x", 0.0, 10.0)
-        formula = lit(
-            CmpAtom(AffineTerm("x"), ">=", AffineTerm.const(index % 5))
-        )
-        tasks.append(
-            SolveTask(key=("synthetic", str(index), "s"), pool=pool,
-                      formula=formula)
-        )
-    return tasks
-
-
-def _verdicts(outcomes):
-    return {
-        key: (o.result.sat, o.result.witness)
-        for key, o in outcomes.items()
-    }
-
-
-def test_split_retry_accounting_is_exact():
-    # One chunk of 8 fails once, then both halves succeed: exactly
-    # 1 pool failure, 2 requeued chunks, 8 retried tasks.
-    tasks = _synthetic_tasks(8)
-    with SerialDispatcher() as serial:
-        reference = _verdicts(serial.run(tasks))
-    dispatcher = ThreadPoolDispatcher(2, chunk_tasks=8)
-    with dispatcher, FaultPlan(
-        [FaultSpec("dispatch.chunk", kind="error", nth=(1,))]
-    ) as plan:
-        outcomes = dispatcher.run(tasks)
-    assert plan.fired("dispatch.chunk") == 1
-    assert _verdicts(outcomes) == reference
-    assert dispatcher.fault_totals() == {
-        "tasks_retried": 8,
-        "chunks_requeued": 2,
-        "pool_failures": 1,
-        "degraded_serial": 0,
-    }
-
-
-def test_singleton_retry_falls_back_inline_with_a_warning():
-    # Every pooled attempt fails: the chunk of 4 splits to halves,
-    # halves split to singletons, and each singleton is warned about
-    # and re-executed inline (shielded), so the run still completes.
-    tasks = _synthetic_tasks(4)
-    with SerialDispatcher() as serial:
-        reference = _verdicts(serial.run(tasks))
-    dispatcher = ThreadPoolDispatcher(
-        2, chunk_tasks=4, max_pool_failures=100
-    )
-    with dispatcher, FaultPlan(
-        [FaultSpec("dispatch.chunk", kind="error", every=1)]
-    ), pytest.warns(RuntimeWarning):
-        outcomes = dispatcher.run(tasks)
-    assert _verdicts(outcomes) == reference
-    totals = dispatcher.fault_totals()
-    # 1 original chunk + 2 halves + 4 singletons all failed pooled.
-    assert totals["pool_failures"] == 7
-    # Requeues: 2 halves + 4 singletons re-pooled + 4 inline retries.
-    assert totals["chunks_requeued"] == 10
-    # Retried tasks: 2+2 at the half level, 4 singleton re-pools,
-    # 4 inline re-executions.
-    assert totals["tasks_retried"] == 12
-    assert totals["degraded_serial"] == 0
+    # The solve_timeout deadline released the batch, not the hang's end.
+    assert _recovery_seconds(plan, outcome) < delay
 
 
 def test_killed_worker_breaks_pool_and_recovers(tmp_path):
     corpus = _demo_corpus()
     reference = _audit(corpus, None, tmp_path, "inline")
-    dispatcher = ProcessPoolDispatcher(2, chunk_tasks=4, plan_chunk_pairs=8)
-    with FaultPlan(
-        [FaultSpec("dispatch.chunk", kind="kill", nth=(1,))]
-    ) as plan, warnings.catch_warnings():
+    dispatcher = ProcessPoolDispatcher(2, plan_chunk_pairs=8)
+    plan = FaultPlan(
+        [FaultSpec("dispatch.chunk", kind="kill", nth=(1,))],
+        log_path=_event_log(tmp_path, "kill"),
+    )
+    with plan, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         outcome = _audit(corpus, dispatcher, tmp_path, "kill")
     assert plan.fired("dispatch.chunk") == 1
     _assert_equivalent(outcome, reference, "kill")
     # The dead worker broke the pool: at least its chunk failed and was
-    # re-executed; the pool was rebuilt and finished the batch pooled.
+    # re-planned inline; the pool was rebuilt and finished the batch.
     assert outcome["faults"][2] >= 1  # pool_failures
     assert outcome["faults"][1] >= 1  # chunks_requeued
+    assert _recovery_seconds(plan, outcome) < 2.0
 
 
 def test_relentless_faults_trip_degraded_serial_mode(tmp_path):
     corpus = _demo_corpus()
     reference = _audit(corpus, None, tmp_path, "inline")
     dispatcher = ThreadPoolDispatcher(
-        2, chunk_tasks=2, plan_chunk_pairs=8, max_pool_failures=2
+        2, plan_chunk_pairs=8, max_pool_failures=2
     )
-    with FaultPlan(
-        [FaultSpec("dispatch.chunk", kind="error", every=1)]
-    ), pytest.warns(RuntimeWarning, match="degrading to serial"):
+    plan = FaultPlan(
+        [FaultSpec("dispatch.chunk", kind="error", every=1)],
+        log_path=_event_log(tmp_path, "degraded"),
+    )
+    with plan, pytest.warns(RuntimeWarning, match="degrading to serial"):
         outcome = _audit(corpus, dispatcher, tmp_path, "degraded")
     _assert_equivalent(outcome, reference, "degraded")
     assert outcome["faults"][3] == 1  # degraded_serial: tripped once
     assert outcome["faults"][2] >= 2  # at least max_pool_failures
+    assert _recovery_seconds(plan, outcome) < 2.0
     # Degraded mode is per-batch: the next batch re-arms the pool.
     assert dispatcher.degraded is True
     dispatcher.for_batch(1)
@@ -812,7 +766,7 @@ def test_service_audit_with_chunk_faults_matches_clean_run(tmp_path):
             return False
 
     clean = run_fleet(SerialDispatcher())
-    chaos_dispatcher = ThreadPoolDispatcher(2, chunk_tasks=2)
+    chaos_dispatcher = ThreadPoolDispatcher(2)
     chaos = run_fleet(
         chaos_dispatcher,
         FaultPlan([FaultSpec("dispatch.chunk", kind="error", every=2)]),

@@ -16,6 +16,7 @@ from repro.service import (
     HomeGuardService,
     InstallRequest,
     InteractivePolicy,
+    InvalidRequestError,
     SessionDecidedError,
     SeverityThresholdPolicy,
     UnknownAppError,
@@ -427,6 +428,29 @@ def test_remove_home_drops_its_pending_sessions():
         service.session(s1.session_id)
 
 
+def test_unknown_device_label_or_type_is_an_invalid_request(tmp_path):
+    # A device value that is neither a registered label nor a device
+    # type is a typed request error, raised before anything registers:
+    # the home stays unchanged and its next flush writes nothing.
+    service = fresh_service(store_root=tmp_path)
+    service.create_home("h1")
+    home = service.home("h1")
+    with pytest.raises(InvalidRequestError) as excinfo:
+        service.install(InstallRequest(
+            home_id="h1", app_name="ColdDefender",
+            devices={"tv2": "tv", "window2": "Window"}, values={},
+        ))
+    assert excinfo.value.code == "invalid-request"
+    assert excinfo.value.details == {"input": "window2", "device": "Window"}
+    with pytest.raises(InvalidRequestError, match="nosuchtype"):
+        service.register_device("h1", "Lamp", "nosuchtype")
+    assert home.home_devices == {} and home.frontend_state == {}
+    home.flush_store()
+    assert home.pipeline.stats.store_bytes_written == 0
+    assert not (tmp_path / "h1").exists()
+    service.close()
+
+
 # ----------------------------------------------------------------------
 # Lifecycle: close() idempotency, incl. after a failed restore
 
@@ -434,8 +458,8 @@ def test_remove_home_drops_its_pending_sessions():
 def test_service_close_is_idempotent_and_releases_workers():
     service = fresh_service(workers="process:2")
     make_home(service, "h1")
-    # Two conflicting installs: the second one has candidate pairs, so
-    # its solve batch actually reaches the pooled backend.
+    # Two conflicting installs: the second one has a candidate pair, so
+    # its batch goes to the pooled backend as a plan chunk.
     for spec in (COMFORT_TV, COLD_DEFENDER):
         session = service.install(InstallRequest(home_id="h1", **spec))
         service.decide(DecisionRequest(home_id="h1",
@@ -464,7 +488,7 @@ def test_close_idempotent_after_failed_restore(tmp_path):
     service = fresh_service(workers="process:2")
     make_home(service, "h1", store_path=store_path)
     # Force the shared pool to start (two conflicting installs give
-    # the dispatcher real pairs), then make the next load explode.
+    # the dispatcher a real plan chunk), then make the next load explode.
     for spec in (COMFORT_TV, COLD_DEFENDER):
         session = service.install(InstallRequest(home_id="h1", **spec))
         service.decide(DecisionRequest(home_id="h1",

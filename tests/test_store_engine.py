@@ -809,6 +809,60 @@ def test_failed_commits_journal_their_delta_later(tmp_path):
     service.close()
 
 
+def test_failed_app_commit_keeps_its_delta(tmp_path):
+    # A kept app whose journal append fails must still reach the store:
+    # the store holds the unwritten record and appends it ahead of the
+    # next commit's, so the app, its solves and its frontend ops all
+    # land, and the store equals a full save after the next commit.
+    def run(root, fault):
+        service = HomeGuardService(workers=None, store_root=root)
+        service.preload([app_by_name("ComfortTV"),
+                         app_by_name("ColdDefender")])
+        service.create_home("h1")
+        service.home("h1").store.journal_max_records = 10**6
+        for label, type_name in (
+            ("TV", "tv"), ("Temp", "temperatureSensor"),
+            ("Window", "windowOpener"),
+        ):
+            service.register_device("h1", label, type_name)
+
+        def decide(spec):
+            session = service.install(InstallRequest(home_id="h1", **spec))
+            service.decide(DecisionRequest(
+                home_id="h1", session_id=session.session_id,
+                decision="keep",
+            ))
+
+        decide(COMFORT_TV)
+        if fault:
+            with FaultPlan(
+                [FaultSpec("store.append", kind="io-error", nth=(1,))]
+            ):
+                with pytest.raises(sqlite3.OperationalError):
+                    decide(COLD_DEFENDER)
+        else:
+            decide(COLD_DEFENDER)
+        decide(COMFORT_TV)
+        live = service.home("h1").pipeline.engine.export_caches()
+        service.close()
+        return canonical_state(DetectionStore(root / "h1")), live
+
+    state, live = run(tmp_path / "delta", fault=True)
+    with full_save_homes():
+        oracle, _ = run(tmp_path / "full", fault=False)
+    assert state == oracle
+    assert sum(map(len, live.values())) > 0
+
+    service = HomeGuardService(workers=None, store_root=tmp_path / "delta")
+    service.preload([app_by_name("ComfortTV"), app_by_name("ColdDefender")])
+    service.create_home("h1")
+    assert sorted(service.restore("h1")) == ["ColdDefender", "ComfortTV"]
+    home = service.home("h1")
+    assert home.pipeline.engine.export_caches() == live
+    assert home.pipeline.stats.solver_calls == 0
+    service.close()
+
+
 def test_deleted_install_journals_no_payload(tmp_path):
     # A DELETE cancels the queued put of the payload its review
     # recorded; the drop alone keeps the store equal to a full save.

@@ -14,8 +14,11 @@ import json
 
 import pytest
 
+from repro.corpus import app_by_name
 from repro.service import (
     DuplicateHomeError,
+    InstallRequest,
+    InvalidRequestError,
     ServerStatusRecord,
     ServiceError,
     UnknownHomeError,
@@ -139,6 +142,26 @@ def test_typed_errors_raise_across_the_socket(client):
         client.create_home("conformance-errors")
     with pytest.raises(UnknownSessionError):
         client.session("conformance-errors", "never-issued")
+
+
+def test_unknown_device_is_a_typed_error_over_the_wire(tmp_path):
+    service = HomeGuardService(workers=None, store_root=tmp_path)
+    service.preload([app_by_name("ColdDefender")])
+    with serve_background(service, own_service=True) as background:
+        with FleetClient(background.host, background.port) as client:
+            client.create_home("h1")
+            with pytest.raises(InvalidRequestError):
+                client.install(InstallRequest(
+                    home_id="h1", app_name="ColdDefender",
+                    devices={"tv2": "TV", "window2": "Window"}, values={},
+                ))
+            with pytest.raises(InvalidRequestError):
+                client.register_device("h1", "Lamp", "nosuchtype")
+            assert client.status().internal_errors == 0
+            home = service.home("h1")
+            assert home.home_devices == {}
+            home.flush_store()
+            assert home.pipeline.stats.store_bytes_written == 0
 
 
 def test_http_statuses_match_the_taxonomy(live):
