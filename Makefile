@@ -15,15 +15,16 @@ test:
 # into a tenant home's results (threats, caches, store bytes — the
 # journal's frontend ops included), or into the runtime monitor's
 # observation stream (trace replay must stay byte-identical to live
-# ingestion).
+# ingestion), or into the detection store's bytes (cache sections are
+# written in canonical key order).
 test-hashseed:
 	$(PYTHON) -m pytest -q tests/test_dispatch_equivalence.py \
 		tests/test_service_equivalence.py tests/test_monitor.py \
-		tests/test_store_engine.py
+		tests/test_store_engine.py tests/test_detector_store.py
 	PYTHONHASHSEED=0 $(PYTHON) -m pytest -q \
 		tests/test_dispatch_equivalence.py \
 		tests/test_service_equivalence.py tests/test_monitor.py \
-		tests/test_store_engine.py
+		tests/test_store_engine.py tests/test_detector_store.py
 
 # Fault-injection chaos battery (DESIGN.md §15): injected worker
 # crashes, hung solves, killed processes and backend I/O errors must

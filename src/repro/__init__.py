@@ -45,7 +45,7 @@ from repro.service import (
 )
 from repro.service.home import InstallDecision, InstalledDevice, InstallReview
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "AuditRequest",

@@ -33,6 +33,15 @@ class AllowedList:
             if threat.type in _CHAINABLE:
                 self.pairs.append(threat)
 
+    def disallow(self, app_name: str) -> bool:
+        """Drop every pair with a rule of ``app_name``; ``True`` if any."""
+        count = len(self.pairs)
+        self.pairs[:] = [
+            t for t in self.pairs
+            if app_name not in (t.rule_a.app_name, t.rule_b.app_name)
+        ]
+        return len(self.pairs) < count
+
     def triggering_edges(self) -> list[tuple[Rule, Rule]]:
         return [
             (threat.rule_a, threat.rule_b)

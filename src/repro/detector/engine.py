@@ -504,11 +504,6 @@ class DetectionEngine:
     # ------------------------------------------------------------------
     # Cache persistence (DESIGN.md §8)
 
-    def cache_size(self) -> int:
-        """Solve-cache entries: a rise means new solves to persist."""
-        caches = (self._situation_cache, self._condition_cache)
-        return sum(map(len, caches)) + len(self._effect_cache)
-
     def export_caches(self) -> dict[str, list]:
         """Snapshot the solve caches as a JSON-serializable payload.
 

@@ -77,6 +77,9 @@ class DetectionPipeline:
         # Apps that ever passed through the engine: anything else has no
         # cached state, so invalidation can skip the cache scans.
         self._seen: set[str] = set()
+        #: Bumped by every call that can change the installed signatures
+        #: or the solve caches: a store tip at this count has no diff.
+        self.changes = 0
 
     # ------------------------------------------------------------------
     # State
@@ -105,6 +108,7 @@ class DetectionPipeline:
         sigs = self.engine.signatures.sign_ruleset(ruleset)
         self._staged[ruleset.app_name] = sigs
         self._seen.add(ruleset.app_name)
+        self.changes += 1
         return sigs
 
     def _candidate_pairs(
@@ -193,6 +197,7 @@ class DetectionPipeline:
             self.index.remove_app(app_name)
         self._installed[app_name] = sigs
         self._seen.add(app_name)
+        self.changes += 1
         self.index.add_ruleset(sigs)
 
     def discard(self, app_name: str) -> None:
@@ -224,6 +229,7 @@ class DetectionPipeline:
         involving them (a reinstall may carry a new configuration)."""
         if self._installed.pop(app_name, None) is None:
             return
+        self.changes += 1
         self.index.remove_app(app_name)
         self.engine.invalidate_app(app_name)
 
@@ -237,6 +243,7 @@ class DetectionPipeline:
         brute-force flow, which re-derived identities every review)."""
         if app_name not in self._seen:
             return  # nothing cached: skip the cache scans entirely
+        self.changes += 1
         self.engine.invalidate_app(app_name)
         sigs = self._installed.get(app_name)
         if sigs:

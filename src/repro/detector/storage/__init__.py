@@ -14,7 +14,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.detector.storage.backend import DirectoryBackend, StoreBackend
+from repro.detector.storage.backend import (
+    DirectoryBackend,
+    StoreBackend,
+    StoreWriteError,
+)
 from repro.detector.storage.sqlite import SQLiteStoreBackend
 
 #: Database filename used when a SQLite backend is rooted inside a
@@ -63,5 +67,6 @@ __all__ = [
     "SQLITE_STORE_FILE",
     "SQLiteStoreBackend",
     "StoreBackend",
+    "StoreWriteError",
     "make_store_backend",
 ]

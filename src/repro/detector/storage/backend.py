@@ -35,6 +35,13 @@ from pathlib import Path
 from repro.testing.faults import fault_hook
 
 
+class StoreWriteError(OSError):
+    """A backend acknowledged a document write or journal append with
+    zero bytes — degraded, so nothing became durable.  The store raises
+    it instead of counting the write as landed, which leaves the
+    change queued for the next commit."""
+
+
 class StoreBackend:
     """Protocol base class for detection-store storage backends."""
 

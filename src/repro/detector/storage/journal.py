@@ -1,31 +1,42 @@
 """Per-commit delta records and their replay (DESIGN.md §14).
 
 The journal is the delta half of the storage engine: instead of
-rewriting a home's shard on every keep/delete decision, the store
-appends one compact JSON record per commit and replays the journal
-over the base snapshot at load time.  Record shape (one JSON object
-per line)::
+rewriting a home's shard on every commit, the store appends one compact
+JSON record per commit and replays the journal over the base snapshot
+at load time.  Record shapes (one JSON object per line)::
 
-    {"seq": N, "base": G, "op": "commit",
-     "app": ..., "environment": ..., "fingerprint": ...,
-     "ruleset": [...], "signatures": [...],
-     "cache_add": {"situation": [[ids, result], ...], ...},
-     "cache_drop": {"situation": [ids, ...], ...},
-     "frontend_ops": [...]}
+    {"seq": N, "base": G, "op": "commit", "app": ..., "environment": ...,
+     "fingerprint": ..., "ruleset": [...], "signatures": [...]}
+    {"seq": N, "base": G, "op": "remove", "app": ...}
+    {"seq": N, "base": G, "op": "frontend"}
 
-    {"seq": N, "base": G, "op": "remove", "app": ..., "frontend_ops": [...]}
+Any record may also carry these fields, applied around its op in the
+order shown (a ``frontend`` record must carry one)::
 
-    {"seq": N, "base": G, "op": "frontend", "frontend_ops": [...]}
+    "frontend_ops": [...],
+    "resign": [{<the commit fields from "app" on>}, ...],
+    <the op>
+    "cache_drop": {"situation": [ids, ...], ...},
+    "cache_add": {"situation": [[ids, result], ...], ...}
 
-``frontend_ops`` (optional on ``commit``/``remove``) edits the frontend
-blob — the companion app's state, laid out by
-:meth:`repro.service.home.TenantHome._frontend_blob` — one section at a
-time, so a commit writes what changed, never the whole blob (store
-format v4).  The ops, applied in order::
+A ``commit`` installs an app at the end of the installed order,
+mirroring :meth:`DetectionPipeline.commit`'s pop and reinsert; a
+``resign`` entry replaces an installed app's directory and shard entry
+where it stands, as :meth:`DetectionPipeline.invalidate_app` re-signs
+a re-configured or re-typed app in place; a ``remove`` drops the app
+and every cache entry naming it.  The cache fields hold the entries
+that appeared, vanished or were re-solved (dropped and re-added) since
+the previous durable state.  Re-signs and cache deltas ride on the
+commit's own record, so a torn journal never replays half a commit.
+
+``frontend_ops`` edits the frontend blob — laid out by
+:meth:`repro.service.home.TenantHome._frontend_blob` — one section at
+a time, so a commit writes what changed, never the whole blob::
 
     ["put", section, key, value]   # payloads / device_types / home_devices
     ["drop", section, key]
     ["allow", [[type, rule_a, rule_b], ...]]     # append Allowed pairs
+    ["disallow", app]              # drop every Allowed pair naming app
     ["review", index, entry]       # replace; index == len appends
     ["monitor", {"observations": [...],          # ledger entries to append
                  "batches": [...], "memory": M,  # dedup keys, keep last M
@@ -36,29 +47,28 @@ the key exists and appends it otherwise (``payloads`` is a list keyed
 by each entry's ``"app"``).  A key that moved is dropped and put again,
 exactly where the live dict popped and reinserted it.  Every
 ``monitor`` field is optional; the op always creates
-``extra.monitor.{batches,watch}`` as the live home does.  Store format
-v3 records instead carried the whole blob (``"frontend": {...}``),
-replacing it on replay; that reader stays so v3 stores still load.
+``extra.monitor.{batches,watch}`` as the live home does.
 
 ``base`` pins the meta generation the record extends: records from
-before a compaction (whose meta bumped the generation) are inert, so
-an interrupted compaction — new shards and meta on disk, journal not
-yet deleted — replays to exactly the compacted state.  ``seq`` is a
-dense counter per base; replay applies the longest consistent prefix
-(strictly sequential seq, parseable JSON, applicable shape) and stops
-at the first torn or corrupt record — the documented crash-recovery
-semantics: a truncated tail degrades to the state as of the last
+before a compaction are inert, so an interrupted compaction — new
+shards and meta on disk, journal not yet deleted — replays to exactly
+the compacted state.  ``seq`` is a dense counter per base; replay
+applies the longest consistent prefix (strictly sequential seq,
+parseable JSON, applicable shape) and stops at the first torn or
+corrupt record: a truncated tail degrades to the state as of the last
 acknowledged commit, never to a crash and never to stale results.
 
-Replay is *exactly* equivalent to a full save after every commit: commit
-records pop-and-reappend the app in the directory and its shard
-(mirroring how :meth:`DetectionPipeline.commit` moves a re-committed
-app to the end of the installed order), cache deltas drop in place and
-append at the end (mirroring dict delete + reinsert in the engine's
-solve caches), and cache entries route to the shard of their first
-app, exactly like :meth:`DetectionStore.save`.  That equivalence is
-what makes compaction a pure fold: the compacted store parses to the
-same snapshot the base + journal parsed to, byte for byte.
+Replay is *exactly* equivalent to a full save after every commit: the
+app directory and each shard's apps follow the installed order, cache
+entries route to the shard of their first app, exactly like
+:meth:`DetectionStore.save`, and every cache section stays in canonical
+order, sorted by key — a full save writes it sorted and replay re-sorts
+each section a record adds to, so where an entry lands depends on its
+key, never on when it was solved or committed.  That equivalence makes
+compaction a pure fold: the compacted store parses to the same snapshot
+the base + journal parsed to, byte for byte.  Older formats replay by
+their own rules: v4 appended cache additions at the end of their
+section, and v3 records carried the whole blob (``"frontend"``).
 """
 
 from __future__ import annotations
@@ -71,44 +81,22 @@ def empty_caches() -> dict[str, list]:
 
 
 def empty_shard(environment: str) -> dict:
-    return {
-        "environment": environment,
-        "apps": {},
-        "caches": empty_caches(),
-    }
+    return {"environment": environment, "apps": {}, "caches": empty_caches()}
 
 
-def commit_record(
-    seq: int,
-    base: int,
-    app: str,
-    environment: str,
-    fingerprint: str,
-    ruleset: list,
-    signatures: list,
-    cache_add: dict[str, list],
-    cache_drop: dict[str, list],
-) -> dict:
-    return {
-        "seq": seq,
-        "base": base,
-        "op": "commit",
-        "app": app,
-        "environment": environment,
-        "fingerprint": fingerprint,
-        "ruleset": ruleset,
-        "signatures": signatures,
-        "cache_add": cache_add,
-        "cache_drop": cache_drop,
-    }
+def record(seq: int, base: int, op: str, **fields) -> dict:
+    return {"seq": seq, "base": base, "op": op, **fields}
 
 
-def remove_record(seq: int, base: int, app: str) -> dict:
-    return {"seq": seq, "base": base, "op": "remove", "app": app}
-
-
-def frontend_record(seq: int, base: int) -> dict:
-    return {"seq": seq, "base": base, "op": "frontend"}
+def changes_nothing(record: dict) -> bool:
+    """A frontend record with no blob, ops or cache delta: the store
+    never writes one, and replay rejects it."""
+    return record["op"] == "frontend" and not any(
+        name in record
+        for name in (
+            "frontend", "frontend_ops", "resign", "cache_add", "cache_drop",
+        )
+    )
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +132,12 @@ def _payload_index(payloads: list, app) -> int | None:
     return None
 
 
+def _app_of(rule_id) -> str | None:
+    if not isinstance(rule_id, str):
+        return None
+    return rule_id.rsplit("/", 1)[0]
+
+
 def _apply_frontend_op(blob: dict, op: list) -> None:
     name = op[0]
     if name == "put":
@@ -169,6 +163,13 @@ def _apply_frontend_op(blob: dict, op: list) -> None:
     elif name == "allow":
         _, pairs = op
         _container(blob, ("allowed",), []).extend(pairs)
+    elif name == "disallow":
+        _, app = op
+        allowed = _container(blob, ("allowed",), [])
+        allowed[:] = [
+            pair for pair in allowed
+            if app not in (_app_of(pair[1]), _app_of(pair[2]))
+        ]
     elif name == "review":
         _, index, entry = op
         reviews = _container(blob, ("reviews",), [])
@@ -197,125 +198,121 @@ def _apply_frontend_op(blob: dict, op: list) -> None:
         raise ValueError(f"unknown frontend op {name!r}")
 
 
-def apply_frontend_ops(blob: dict, ops: list) -> None:
-    """Apply one record's frontend ops to ``blob`` in place.  Raises
-    on a malformed op; the caller treats that as the end of the
-    consistent prefix."""
-    for op in ops:
-        _apply_frontend_op(blob, op)
-
-
-def _first_app(rule_ids: list) -> str | None:
-    if not rule_ids or not isinstance(rule_ids[0], str):
-        return None
-    return rule_ids[0].rsplit("/", 1)[0]
-
-
 def apply_record(
     record: dict,
     apps: dict,
     shards: dict,
     frontend_box: list,
     wanted: set[str] | None,
+    canonical: bool = True,
 ) -> None:
     """Fold one journal record into parsed snapshot structures.
 
     ``apps``/``shards`` are the store's app directory and loaded shard
     payloads, mutated in place; ``frontend_box`` is a one-slot list
-    holding the current frontend blob (v3 records replace it, v4 ops
-    edit it in place); ``wanted`` is the optional environment filter
-    of :meth:`DetectionStore.load` — shard edits for unloaded
+    holding the current frontend blob (v3 records replace it, later
+    ones edit it in place); ``wanted`` is the optional environment
+    filter of :meth:`DetectionStore.load` — shard edits for unloaded
     environments are skipped, directory and frontend updates always
-    apply.  Raises on a malformed record; the caller treats that
-    as the end of the consistent prefix."""
+    apply.  ``canonical`` re-sorts the cache sections the record adds
+    to (format v5; off for v3/v4 records, which appended).  Raises on a
+    malformed record; the caller treats that as the end of the
+    consistent prefix."""
     op = record["op"]
-    # A v3 record carries the whole blob and replaces it; a v4 record
-    # carries the ops that edit it.
+    # A v3 record carries the whole blob and replaces it; a later
+    # record carries the ops that edit it.
     frontend = record.get("frontend")
     if isinstance(frontend, dict):
         frontend_box[0] = frontend
-    ops = record.get("frontend_ops")
-    if ops is not None:
-        apply_frontend_ops(frontend_box[0], ops)
-
+    for frontend_op in record.get("frontend_ops", []):
+        _apply_frontend_op(frontend_box[0], frontend_op)
+    for entry in record.get("resign", []):
+        _put_app(entry, apps, shards, wanted, move=False)
     if op == "frontend":
-        # Frontend-only delta: nothing but the blob changes.  A record
-        # that changes no blob is malformed (ends the consistent prefix).
-        if not isinstance(frontend, dict) and not isinstance(ops, list):
-            raise ValueError("frontend record without frontend ops")
-        return
-
-    app = str(record["app"])
-
-    if op == "remove":
-        removed = apps.pop(app, None)
-        prefix = f"{app}/"
-        for environment in list(shards):
-            shard = shards[environment]
-            shard.get("apps", {}).pop(app, None)
-            caches = shard.get("caches", {})
-            for kind in CACHE_KINDS:
-                entries = caches.get(kind)
-                if entries:
-                    caches[kind] = [
-                        entry
-                        for entry in entries
-                        if not any(
-                            isinstance(rule_id, str)
-                            and rule_id.startswith(prefix)
-                            for rule_id in entry[0]
-                        )
-                    ]
-            # An environment with no installed apps has no shard in a
-            # full save either (its caches route with their first
-            # app, so they empty out with it) — GC it the same way.
-            if not shard.get("apps"):
-                del shards[environment]
-        del removed
-        return
-
-    if op != "commit":
+        # A record that changes nothing is malformed (ends the
+        # consistent prefix).
+        if changes_nothing(record):
+            raise ValueError("frontend record that changes nothing")
+    elif op == "remove":
+        _remove_app(str(record["app"]), apps, shards)
+    elif op == "commit":
+        _put_app(record, apps, shards, wanted, move=True)
+    else:
         raise ValueError(f"unknown journal op {op!r}")
+    _apply_cache_delta(record, apps, shards, wanted, canonical)
 
-    environment = str(record["environment"])
-    fingerprint = record["fingerprint"]
-    # Re-committing moves the app to the end of the installed order —
-    # mirror DetectionPipeline.commit's pop + reinsert exactly, in the
-    # directory and in the shards.
-    apps.pop(app, None)
-    apps[app] = {"environment": environment, "fingerprint": fingerprint}
+
+def _drop_entries(shards: dict, doomed) -> None:
+    """Drop every cache entry for which ``doomed(kind, key)`` holds."""
     for shard in shards.values():
-        shard.get("apps", {}).pop(app, None)
+        caches = shard.get("caches", {})
+        for kind in CACHE_KINDS:
+            if caches.get(kind):
+                caches[kind] = [
+                    entry for entry in caches[kind]
+                    if not doomed(kind, tuple(entry[0]))
+                ]
+
+
+def _remove_app(app: str, apps: dict, shards: dict) -> None:
+    apps.pop(app, None)
+    prefix = f"{app}/"
+    _drop_entries(shards, lambda kind, key: any(
+        isinstance(rule_id, str) and rule_id.startswith(prefix)
+        for rule_id in key
+    ))
+    for environment in list(shards):
+        shards[environment].get("apps", {}).pop(app, None)
+        # An environment with no installed apps has no shard in a full
+        # save either (its caches route with their first app, so they
+        # empty out with it) — GC it the same way.
+        if not shards[environment].get("apps"):
+            del shards[environment]
+
+
+def _put_app(
+    entry: dict, apps: dict, shards: dict, wanted: set[str] | None,
+    move: bool,
+) -> None:
+    """Write an app's directory and shard entry: at the end of the
+    installed order when ``move`` (a commit), else where it stands (a
+    re-sign)."""
+    app = str(entry["app"])
+    environment = str(entry["environment"])
+    fingerprint = entry["fingerprint"]
+    if move:
+        apps.pop(app, None)
+    apps[app] = {"environment": environment, "fingerprint": fingerprint}
+    for env, shard in shards.items():
+        if move or env != environment:
+            shard.get("apps", {}).pop(app, None)
     if wanted is None or environment in wanted:
         shard = shards.get(environment)
         if shard is None:
             shard = shards[environment] = empty_shard(environment)
         shard.setdefault("apps", {})[app] = {
             "fingerprint": fingerprint,
-            "ruleset": record["ruleset"],
-            "signatures": record["signatures"],
+            "ruleset": entry["ruleset"],
+            "signatures": entry["signatures"],
         }
 
-    drops = record.get("cache_drop", {})
-    for kind in CACHE_KINDS:
-        keys = {tuple(key) for key in drops.get(kind, [])}
-        if not keys:
-            continue
-        for shard in shards.values():
-            caches = shard.get("caches", {})
-            entries = caches.get(kind)
-            if entries:
-                caches[kind] = [
-                    entry
-                    for entry in entries
-                    if tuple(entry[0]) not in keys
-                ]
 
+def _apply_cache_delta(
+    record: dict, apps: dict, shards: dict, wanted: set[str] | None,
+    canonical: bool,
+) -> None:
+    if "cache_drop" in record:
+        drops = {
+            kind: {tuple(key) for key in keys}
+            for kind, keys in record["cache_drop"].items()
+        }
+        _drop_entries(shards, lambda kind, key: key in drops.get(kind, ()))
+
+    grown: dict[int, list] = {}
     adds = record.get("cache_add", {})
     for kind in CACHE_KINDS:
         for entry in adds.get(kind, []):
-            first = _first_app(entry[0])
-            target = None if first is None else apps.get(first)
+            target = apps.get(_app_of(entry[0][0]) if entry[0] else None)
             if not isinstance(target, dict):
                 continue
             target_env = target.get("environment", "")
@@ -324,6 +321,11 @@ def apply_record(
             shard = shards.get(target_env)
             if shard is None:
                 shard = shards[target_env] = empty_shard(target_env)
-            shard.setdefault("caches", empty_caches()).setdefault(
+            section = shard.setdefault("caches", empty_caches()).setdefault(
                 kind, []
-            ).append(entry)
+            )
+            section.append(entry)
+            grown[id(section)] = section
+    if canonical:
+        for section in grown.values():
+            section.sort(key=lambda entry: entry[0])

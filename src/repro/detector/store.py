@@ -1,69 +1,48 @@
 """Persistent, environment-sharded detection store (DESIGN.md §8).
 
 The paper's engine pre-stores its M_AR / M_GC mappings so repeated
-audits are cheap (§VI); this module extends that idea across *process
-boundaries*: everything a :class:`~repro.detector.pipeline
-.DetectionPipeline` learned during an audit — the per-rule
-:class:`~repro.detector.signature.RuleSignature` facts, the inverted
-:class:`~repro.detector.index.RuleIndex` buckets, and the engine's
+audits are cheap (§VI); this module extends that idea across process
+boundaries: what a :class:`~repro.detector.pipeline.DetectionPipeline`
+learned — the rules, their signature facts and the engine's
 situation/condition/effect solve caches — is serialized to a versioned
-on-disk store, so a fresh process can *warm-start* and re-audit an
-unchanged 5k-app store with **zero solver calls** while reporting the
-exact same threat set as the cold run.
+store, so a fresh process can *warm-start* and re-audit an unchanged
+5k-app store with **zero solver calls** and the exact same threats.
 
-On-disk format (schema version 4)
+On-disk format (schema version 5)
 ---------------------------------
 
 A store is a set of named documents plus an append-only journal,
 persisted through a pluggable :class:`~repro.detector.storage
-.StoreBackend` (DESIGN.md §14).  Under the default
-:class:`~repro.detector.storage.DirectoryBackend` that is a
-directory::
-
-    <store>/
-      meta.json         # format marker, schema version, app directory
-      shard-000002-0000.json   # one file per environment (home)
-      shard-000002-0001.json
-      journal.jsonl     # per-commit delta records since the base
-      ...
-
-(the ``"sqlite"`` backend packs the same documents and journal into
-one shareable WAL-mode database file instead).
+.StoreBackend` (DESIGN.md §14) — by default a directory holding
+``meta.json``, one ``shard-<generation>-<n>.json`` per environment
+(home) and ``journal.jsonl``; the ``"sqlite"`` backend packs the same
+documents into one shareable WAL-mode database file.
 
 ``meta.json`` holds ``{"format", "schema", "generation", "apps": {app:
 {"environment", "fingerprint"}}, "shards": {environment: filename},
-"frontend": {...}}`` — the app directory is ordered by installation,
-and ``frontend`` is the blob the companion app uses for its
-configuration recorder, Allowed list, review/decision history and
-monitor ledger (past install screens and the user's keep/delete choices
-re-render after a warm restart; see :meth:`repro.service.home
-.TenantHome.save_store`).  Commits journal that blob's changes as
-section ops (:class:`FrontendDelta`), never the blob itself.
-
-Each shard file carries one environment's slice of the detection state:
-the serialized rulesets (loss-free, via :mod:`repro.rules
-.serialization`), the per-rule signature records, and every solve-cache
-entry whose rules live in that home.  Sharding is the multi-home fleet
-story: a controller restoring a single home's install parses one shard
-file, not the whole snapshot (:meth:`DetectionStore.load` takes an
-``environments`` filter).
-
-Delta snapshots and compaction
-------------------------------
+"frontend": {...}}``; ``frontend`` is the companion app's blob
+(configuration recorder, Allowed list, review/decision history,
+monitor ledger — see :meth:`repro.service.home.TenantHome
+._frontend_blob`), which commits journal as section ops
+(:class:`FrontendDelta`), never whole.  Each shard holds one
+environment's rulesets (loss-free, :mod:`repro.rules.serialization`),
+signature records and the solve-cache entries routed to it, so a
+controller restoring one home parses one shard (:meth:`DetectionStore
+.load` takes an ``environments`` filter).  The app directory and each
+shard's apps stay in installation order — the index, and so candidate
+order, follows it after a load — while each cache section is sorted by
+key, so its bytes depend on what it holds, never on when an entry was
+solved or committed.
 
 :meth:`DetectionStore.save` rewrites the full snapshot (the *base*);
-:meth:`DetectionStore.commit_app` appends one compact delta record per
-keep/delete decision to the journal instead — O(changed app), not
-O(store) — and :meth:`DetectionStore.commit_frontend` one record per
-frontend-only change, O(change).  :meth:`DetectionStore.load` replays
-the journal's longest consistent prefix over the base (see
-:mod:`repro.detector.storage.journal` for the record format and
-crash-recovery semantics), and a size-triggered **compaction** (or an
-explicit :meth:`DetectionStore.compact`) folds the journal back into
-fresh base shards, garbage-collecting deleted-app and decided-session
-debris.  Replay is exactly
-equivalent to a full :meth:`DetectionStore.save` after every commit,
-so compaction never changes what a load observes.
+:meth:`DetectionStore.commit_app` and :meth:`DetectionStore
+.commit_frontend` append one delta record per commit instead —
+O(change), not O(store).  :meth:`DetectionStore.load` replays the
+journal's longest consistent prefix over the base (see
+:mod:`repro.detector.storage.journal`), exactly equivalent to a full
+save after every commit, so a size-triggered **compaction** (or
+:meth:`DetectionStore.compact`) that folds the journal into fresh base
+shards never changes what a load observes.
 
 Warm-start invalidation rules
 -----------------------------
@@ -72,16 +51,14 @@ Stale results are never served.  A persisted app's cached state is used
 only when **all** of the following hold, and transparent re-signing
 (plus re-solving) happens otherwise:
 
-* the store's ``format`` marker and ``schema`` version match exactly —
-  otherwise the whole snapshot is ignored (cold start);
+* the store's ``format`` marker and ``schema`` version are ones this
+  reader knows — otherwise the whole snapshot is ignored (cold start);
 * the app's shard file is present and parseable — corrupted or missing
   shards degrade only their own apps to re-signing;
 * the app's *fingerprint* matches: a SHA-256 over the serialized rules,
   the signature records derived under the **current** resolver
-  bindings, and the resolver-pinned input values.  Any change to the
-  rules, the device bindings (identities/types/environments), or the
-  configured input values changes the fingerprint, so re-binding an
-  app re-solves every pair that touches it.
+  bindings, and the resolver-pinned input values, so re-binding or
+  re-configuring an app re-solves every pair that touches it.
 
 Solve-cache entries are imported only when every rule id they mention
 belongs to a fingerprint-validated app (see
@@ -102,7 +79,11 @@ from repro.detector.engine import app_of_rule_id
 from repro.detector.index import RuleIndex, ShardedRuleIndex
 from repro.detector.pipeline import DetectionPipeline
 from repro.detector.signature import RuleSignature
-from repro.detector.storage import StoreBackend, make_store_backend
+from repro.detector.storage import (
+    StoreBackend,
+    StoreWriteError,
+    make_store_backend,
+)
 from repro.detector.storage import journal as journal_format
 from repro.detector.types import ThreatReport
 from repro.rules.model import RuleSet
@@ -114,10 +95,13 @@ STORE_FORMAT = "homeguard-detection-store"
 # shard payloads dropped the persisted index buckets (re-signed on
 # load instead), so v2 readers must reject v3 stores and vice versa.
 # v4: journal records carry frontend section ops instead of the whole
-# frontend blob.  v3 stores still load; their first commit writes a v4
-# base.
-SCHEMA_VERSION = 4
-_READABLE_SCHEMAS = (3, 4)
+# frontend blob.
+# v5: every home mutation is a journal record — shard cache sections
+# in canonical (key-sorted) order, ``resign`` entries and cache deltas
+# on any record, and the ``disallow`` frontend op.  v3 and v4 stores still
+# load; their first commit writes a v5 base.
+SCHEMA_VERSION = 5
+_READABLE_SCHEMAS = (3, 4, 5)
 
 _META_FILE = "meta.json"
 _JOURNAL_FILE = "journal.jsonl"
@@ -228,10 +212,6 @@ class StoreSnapshot:
     shards: dict[str, dict]    # environment -> parsed shard payload
     frontend: dict = field(default_factory=dict)
 
-    def environment(self, app_name: str) -> str | None:
-        record = self.apps.get(app_name)
-        return None if record is None else record.get("environment", "")
-
     def fingerprint(self, app_name: str) -> str | None:
         """The persisted fingerprint, or ``None`` when the app is
         unknown *or* its shard was not loaded (treated as stale)."""
@@ -289,16 +269,12 @@ class WarmStart:
 
 @dataclass(slots=True)
 class FrontendDelta:
-    """One commit's change to the frontend blob.
-
-    ``ops`` are the journal's frontend ops (:mod:`repro.detector
-    .storage.journal`) that turn the durable blob into the live one, or
-    ``None`` when the caller has no durable baseline to diff against,
-    which makes the commit a full save.  ``blob`` builds the whole live
-    blob and runs only for seed and compaction saves.  ``on_durable``
-    runs once the change is durable, so the caller can advance what it
-    considers persisted; a commit that raises before that point leaves
-    the change to be journaled again."""
+    """One commit's change to the frontend blob: the journal's frontend
+    ops that turn the durable blob into the live one (``None`` without
+    a durable baseline, which makes the commit a full save), a builder
+    of the whole live blob for seed and compaction saves, and a hook
+    run once the change is durable (a commit that raises first leaves
+    the change to be journaled again)."""
 
     ops: list | None
     blob: Callable[[], dict]
@@ -318,24 +294,32 @@ class StoreCommit:
 
 
 @dataclass(slots=True)
+class _Tip:
+    """What the store holds after some journal record, as the next
+    commit's diff baseline: the cache results per kind and key; per
+    directory app, the signatures its entry was written from (or its
+    fingerprint, after a load or compaction); and the pipeline's
+    :attr:`~DetectionPipeline.changes` count it was taken at."""
+
+    caches: dict[str, dict[tuple, object]]
+    signed: dict[str, "list[RuleSignature] | str"]
+    changes: int | None
+
+
+@dataclass(slots=True)
 class _JournalState:
-    """In-process journal bookkeeping for the delta-commit path: the
-    base generation being extended, the next record sequence number,
-    size counters for the compaction trigger, and the set of cache
-    keys currently persisted (base + journal) per cache kind, which is
-    what turns the engine's full cache export into a delta.
-    ``unwritten`` holds the records built but not yet appended (a
-    failed append leaves them for the next commit), each with the
-    persisted key sets it leads to."""
+    """In-process journal bookkeeping: the base generation being
+    extended, the next record sequence number, size counters for the
+    compaction trigger and the durable :class:`_Tip`.  ``unwritten``
+    holds the records a failed append left for the next commit, each
+    with the tip it leads to."""
 
     base: int
     next_seq: int
     records: int
     bytes: int
-    persisted: dict[str, set[tuple]]
-    unwritten: list[tuple[dict, dict[str, set[tuple]]]] = field(
-        default_factory=list
-    )
+    durable: _Tip
+    unwritten: list[tuple[dict, _Tip]] = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -352,6 +336,29 @@ def _ruleset_of(
     if rulesets is not None and app_name in rulesets:
         return rulesets[app_name]
     return RuleSet(app_name=app_name, rules=[s.rule for s in sigs])
+
+
+def _persisted_caches(
+    pipeline: DetectionPipeline, installed: Mapping[str, list]
+) -> dict[str, dict[tuple, list]]:
+    """The engine's solve-cache entries a snapshot persists, per kind,
+    by key: those whose rules all belong to installed apps (entries
+    touching a staged or discarded app are not persisted)."""
+    return {
+        kind: {
+            tuple(rule_ids): [rule_ids, result]
+            for rule_ids, result in entries
+            if all(app_of_rule_id(rule_id) in installed for rule_id in rule_ids)
+        }
+        for kind, entries in pipeline.engine.export_caches().items()
+    }
+
+
+def _fingerprints(apps: Mapping[str, dict]) -> dict[str, str]:
+    return {
+        app: str(record.get("fingerprint"))
+        for app, record in apps.items() if isinstance(record, dict)
+    }
 
 
 class DetectionStore:
@@ -380,9 +387,6 @@ class DetectionStore:
         # repeated saves (one per commit) skip re-hashing apps whose
         # signed state did not change.
         self._fingerprint_memo: dict[str, tuple] = {}
-
-    def exists(self) -> bool:
-        return self.backend.has_doc(_META_FILE)
 
     def _fingerprint(
         self,
@@ -416,23 +420,35 @@ class DetectionStore:
     # ------------------------------------------------------------------
     # Base snapshots
 
+    def _write_doc(self, key: str, text: str) -> int:
+        """Write one document; a write the backend dropped (0 bytes)
+        raises :class:`StoreWriteError` instead of counting as durable."""
+        written = self.backend.write_doc(key, text)
+        if not written:
+            raise StoreWriteError(f"store document {key!r} was not written")
+        return written
+
     def _write_base(
         self,
         generation: int,
         apps: dict[str, dict],
         shards: dict[str, dict],
         frontend: dict,
+        signed: Mapping[str, "list[RuleSignature] | str"],
+        changes: int | None = None,
     ) -> int:
-        """Write one base generation and return the bytes written.
+        """Write one base generation and return the bytes written;
+        ``signed`` and ``changes`` seed the journal's :class:`_Tip`.
 
         Every shard document lands before ``meta.json``, and the atomic
         meta replacement is the commit point: until it lands, readers
         see the previous generation's snapshot and the new shard
-        documents are inert orphans, so a crash mid-write always leaves
-        the previous snapshot intact.  The journal is then superseded
-        (its records pin the old base generation), and documents the
-        fresh meta no longer references are garbage-collected."""
-        write = self.backend.write_doc
+        documents are inert orphans, so a crash mid-write (or a write
+        the backend dropped) always leaves the previous snapshot
+        intact.  The journal is then superseded (its records pin the
+        old base generation), and documents the fresh meta no longer
+        references are garbage-collected."""
+        write = self._write_doc
         bytes_written = 0
         shard_files: dict[str, str] = {}
         for position, (env, payload) in enumerate(shards.items()):
@@ -457,32 +473,34 @@ class DetectionStore:
             if stale not in keep:
                 self.backend.delete(stale)
         self.backend.sweep()
-        self._reset_journal(generation, shards.values())
+        self._reset_journal(generation, shards.values(), signed, changes)
         return bytes_written
 
     def _reset_journal(
         self,
         base: int,
         shards: Iterable[dict],
+        signed: Mapping[str, "list[RuleSignature] | str"],
+        changes: int | None = None,
         next_seq: int = 0,
         journal_bytes: int = 0,
     ) -> None:
         """Point the in-process delta state at ``base``, with the cache
-        keys the given shard payloads persist as the diff baseline."""
-        persisted: dict[str, set[tuple]] = {
-            kind: set() for kind in journal_format.CACHE_KINDS
+        entries the given shard payloads persist as the diff baseline."""
+        caches: dict[str, dict[tuple, object]] = {
+            kind: {} for kind in journal_format.CACHE_KINDS
         }
         for shard in shards:
-            caches = shard.get("caches", {})
+            sections = shard.get("caches", {})
             for kind in journal_format.CACHE_KINDS:
-                for entry in caches.get(kind, []):
-                    persisted[kind].add(tuple(entry[0]))
+                for rule_ids, result in sections.get(kind, []):
+                    caches[kind][tuple(rule_ids)] = result
         self._journal = _JournalState(
             base=base,
             next_seq=next_seq,
             records=next_seq,
             bytes=journal_bytes,
-            persisted=persisted,
+            durable=_Tip(caches, dict(signed), changes),
         )
 
     def save(
@@ -512,40 +530,28 @@ class DetectionStore:
                 )
         except (ValueError, TypeError, AttributeError):
             pass
-        resolver = pipeline.engine.resolver
         installed = pipeline.installed_signatures()
-        env_of_app = {
-            app_name: sigs[0].environment if sigs else ""
-            for app_name, sigs in installed.items()
-        }
         # One shard per environment, in installation order.
         shards: dict[str, dict] = {}
         apps: dict[str, dict] = {}
         for app_name, sigs in installed.items():
-            env = env_of_app[app_name]
-            ruleset = _ruleset_of(app_name, sigs, rulesets)
-            fingerprint = self._fingerprint(resolver, ruleset, sigs)
-            apps[app_name] = {"environment": env, "fingerprint": fingerprint}
-            if env not in shards:
-                shards[env] = journal_format.empty_shard(env)
-            shards[env]["apps"][app_name] = {
-                "fingerprint": fingerprint,
-                "ruleset": [rule_to_json(r) for r in ruleset.rules],
-                "signatures": [signature_record(s) for s in sigs],
+            entry = self._app_entry(pipeline, app_name, sigs, rulesets)
+            del entry["app"]
+            env = entry.pop("environment")
+            apps[app_name] = {
+                "environment": env, "fingerprint": entry["fingerprint"],
             }
-        # Route solve-cache entries to the shard of their first app;
-        # entries touching a non-installed (staged/discarded) app are
-        # not persisted.
-        for kind, entries in pipeline.engine.export_caches().items():
-            for rule_ids, result in entries:
-                owners = [app_of_rule_id(rule_id) for rule_id in rule_ids]
-                if any(app not in env_of_app for app in owners):
-                    continue
-                shards[env_of_app[owners[0]]]["caches"][kind].append(
-                    [rule_ids, result]
-                )
+            shard = shards.setdefault(env, journal_format.empty_shard(env))
+            shard["apps"][app_name] = entry
+        # Route solve-cache entries to the shard of their first app, in
+        # canonical order (sorted by key).
+        for kind, entries in _persisted_caches(pipeline, installed).items():
+            for key in sorted(entries):
+                env = apps[app_of_rule_id(key[0])]["environment"]
+                shards[env]["caches"][kind].append(entries[key])
         return self._write_base(
-            previous_generation + 1, apps, shards, frontend or {}
+            previous_generation + 1, apps, shards, frontend or {},
+            installed, pipeline.changes,
         )
 
     def compact(self) -> bool:
@@ -588,7 +594,10 @@ class DetectionStore:
                 "fingerprint": record.get("fingerprint"),
             }
         shards = {env: shard for env, shard in shards.items() if shard["apps"]}
-        self._write_base(generation + 1, apps, shards, snapshot.frontend)
+        self._write_base(
+            generation + 1, apps, shards, snapshot.frontend,
+            _fingerprints(apps),
+        )
         return True
 
     # ------------------------------------------------------------------
@@ -596,17 +605,22 @@ class DetectionStore:
 
     def _init_journal(self) -> None:
         """Seed the in-process delta state from whatever is durable:
-        base generation, surviving journal prefix length, and the set
-        of cache keys the store currently persists per kind."""
+        base generation, surviving journal prefix length, the cache
+        entries per kind and the directory's fingerprints."""
         loaded = self._load()
         if loaded is None or loaded[0].schema != SCHEMA_VERSION:
-            # Nothing to delta against, or a v3 base whose journal a v4
-            # record must not extend: the next commit writes a v4 base.
+            # Nothing to delta against, or an older base whose journal
+            # a v5 record must not extend: the next commit writes a v5
+            # base.
             self._journal = None
             return
         snapshot, next_seq, journal_bytes, generation, _failed = loaded
         self._reset_journal(
-            generation, snapshot.shards.values(), next_seq, journal_bytes
+            generation,
+            snapshot.shards.values(),
+            _fingerprints(snapshot.apps),
+            next_seq=next_seq,
+            journal_bytes=journal_bytes,
         )
 
     def _durable_frontend(self) -> dict:
@@ -632,30 +646,124 @@ class DetectionStore:
             frontend.on_durable()
         return written
 
+    def _app_entry(
+        self,
+        pipeline: DetectionPipeline,
+        app_name: str,
+        sigs: list[RuleSignature],
+        rulesets: Mapping[str, RuleSet] | None,
+    ) -> dict:
+        ruleset = _ruleset_of(app_name, sigs, rulesets)
+        return {
+            "app": app_name,
+            "environment": sigs[0].environment if sigs else "",
+            "fingerprint": self._fingerprint(
+                pipeline.engine.resolver, ruleset, sigs
+            ),
+            "ruleset": [rule_to_json(rule) for rule in ruleset.rules],
+            "signatures": [signature_record(sig) for sig in sigs],
+        }
+
+    def _record(
+        self,
+        pipeline: DetectionPipeline,
+        tip: _Tip,
+        seq: int,
+        base: int,
+        app_name: str | None,
+        remove: bool,
+        rulesets: Mapping[str, RuleSet] | None,
+    ) -> tuple[dict, _Tip]:
+        """The record that takes the store from ``tip`` to the live
+        pipeline — ``app_name``'s commit (a remove when ``remove`` or
+        the app is not installed), else a frontend record — and the tip
+        it leads to.  It re-signs the other directory apps re-signed
+        since ``tip`` and carries the cache entries that changed; a
+        pipeline with the tip's change count skips both diffs, so a
+        frontend-only commit stays O(change)."""
+        changed = pipeline.changes != tip.changes
+        if app_name is None and not changed:
+            return journal_format.record(seq, base, "frontend"), tip
+        installed = pipeline.installed_signatures()
+        signed = dict(tip.signed)
+        resigned: list[dict] = []
+        for name, sigs in installed.items() if changed else ():
+            known = signed.get(name)
+            if name == app_name or known is None:
+                continue
+            if isinstance(known, str):
+                ruleset = _ruleset_of(name, sigs, rulesets)
+                resolver = pipeline.engine.resolver
+                current = known == self._fingerprint(resolver, ruleset, sigs)
+            else:
+                current = len(known) == len(sigs) and all(
+                    a is b for a, b in zip(known, sigs)
+                )
+            if not current:
+                resigned.append(
+                    self._app_entry(pipeline, name, sigs, rulesets)
+                )
+            signed[name] = sigs
+        caches = tip.caches
+        if app_name is None:
+            record = journal_format.record(seq, base, "frontend")
+        elif remove or app_name not in installed:
+            record = journal_format.record(seq, base, "remove", app=app_name)
+        else:
+            sigs = signed[app_name] = installed[app_name]
+            record = journal_format.record(
+                seq, base, "commit",
+                **self._app_entry(pipeline, app_name, sigs, rulesets),
+            )
+        if resigned:
+            record["resign"] = resigned
+        if changed:
+            after: dict[str, dict[tuple, object]] = {}
+            for kind, entries in _persisted_caches(pipeline, installed).items():
+                known = caches[kind]
+                stale = {
+                    key for key, result in known.items()
+                    if key not in entries or entries[key][1] != result
+                }
+                added = [
+                    entries[key] for key in sorted(
+                        key for key in entries
+                        if key not in known or key in stale
+                    )
+                ]
+                if added:
+                    record.setdefault("cache_add", {})[kind] = added
+                if stale:
+                    record.setdefault("cache_drop", {})[kind] = sorted(
+                        map(list, stale)
+                    )
+                after[kind] = {
+                    key: entry[1] for key, entry in entries.items()
+                }
+            caches = after
+        return record, _Tip(caches, signed, pipeline.changes)
+
     def _append(
         self,
         pipeline: DetectionPipeline,
-        build_record: Callable[
-            [int, int, dict[str, set[tuple]]],
-            tuple[dict, dict[str, set[tuple]]],
-        ],
+        app_name: str | None,
+        remove: bool,
         rulesets: Mapping[str, RuleSet] | None,
         frontend: FrontendDelta | None,
     ) -> StoreCommit:
-        """Append ``build_record(seq, base, persisted)``'s journal
-        record, with the frontend ops attached; the builder returns the
-        record and the persisted cache-key sets it leads to, and the
-        store adopts those only once the record is durable.  Records an
-        earlier failed append left unwritten go first.
+        """Append this commit's record (:meth:`_record`) with the
+        frontend ops, adopting the tip it leads to once it is durable.
+        Records an earlier failed append left go first; a commit that
+        changes nothing writes nothing.
 
         Seeds a base with a full :meth:`save` instead when there is no
-        usable snapshot to delta against (or a v3 one, which this
-        migrates) or the frontend change has no baseline, and folds the
-        journal into a fresh base (compaction) when it outgrows
-        ``journal_max_records`` / ``journal_max_bytes``.  :meth:`save`
-        recomputes from the live pipeline — the source of truth journal
-        replay is equivalent to — so ``rulesets`` and ``frontend`` feed
-        both full saves."""
+        usable snapshot to delta against (or an older-format one, which
+        this migrates) or the frontend change has no baseline, and
+        folds the journal into a fresh base (compaction) when it
+        outgrows ``journal_max_records`` / ``journal_max_bytes``.
+        :meth:`save` recomputes from the live pipeline — the source of
+        truth journal replay is equivalent to — so ``rulesets`` and
+        ``frontend`` feed both full saves."""
         start = time.perf_counter()
         if self._journal is None:
             self._init_journal()
@@ -667,14 +775,20 @@ class DetectionStore:
                 written, time.perf_counter() - start, full=True
             )
         state = self._journal
-        tip = state.unwritten[-1][1] if state.unwritten else state.persisted
-        record, persisted = build_record(
-            state.next_seq + len(state.unwritten), state.base, tip
+        tip = state.unwritten[-1][1] if state.unwritten else state.durable
+        record, after = self._record(
+            pipeline, tip, state.next_seq + len(state.unwritten), state.base,
+            app_name, remove, rulesets,
         )
         if frontend is not None and frontend.ops:
             record["frontend_ops"] = frontend.ops
-        state.unwritten.append((record, persisted))
-        written = self._write_unwritten(state)
+        if not journal_format.changes_nothing(record):
+            state.unwritten.append((record, after))
+        if state.unwritten:
+            written = self._write_unwritten(state)
+        else:
+            state.durable = after
+            written = 0
         if frontend is not None:
             frontend.on_durable()
         compacted = (
@@ -691,29 +805,33 @@ class DetectionStore:
         """Append the unwritten records oldest first, advancing the
         cursor after each durable one; returns the bytes appended.
 
-        When an append fails, the records still unwritten stay queued
-        for the next commit without their frontend ops (the caller's
-        queue resends those with it), frontend-only records left empty
-        by that are dropped, and the rest are renumbered to follow the
-        journal's last durable record."""
+        An append that raises, or that the backend dropped (0 bytes:
+        :class:`StoreWriteError`), leaves the records still unwritten
+        for the next commit without their frontend ops (the caller
+        resends those); records left changing nothing are dropped, the
+        rest renumbered to follow the last durable record."""
         written = 0
         while state.unwritten:
-            record, persisted = state.unwritten[0]
+            record, after = state.unwritten[0]
             try:
                 appended = self.backend.append_journal(
                     _JOURNAL_FILE, json.dumps(record, default=str)
                 )
+                if not appended:
+                    raise StoreWriteError(
+                        f"journal record {record['seq']} was not appended"
+                    )
             except BaseException:
                 kept = []
-                for pending, after in state.unwritten:
+                for pending, tip in state.unwritten:
                     pending.pop("frontend_ops", None)
-                    if pending["op"] != "frontend":
+                    if not journal_format.changes_nothing(pending):
                         pending["seq"] = state.next_seq + len(kept)
-                        kept.append((pending, after))
+                        kept.append((pending, tip))
                 state.unwritten = kept
                 raise
             del state.unwritten[0]
-            state.persisted = persisted
+            state.durable = after
             state.next_seq += 1
             state.records += 1
             state.bytes += appended
@@ -732,77 +850,15 @@ class DetectionStore:
         """Durably record one keep/delete decision — O(changed app),
         not O(store).
 
-        Appends a single delta record to the journal: the committed
-        app's rules/signatures/fingerprint plus the solve-cache entries
-        that appeared or vanished since the last durable state (or a
-        removal marker with the cache keys the app took with it), and
-        the ``frontend`` ops, if any (without them the blob stays as
-        it is).  A load that replays the record observes exactly the
-        state a full :meth:`save` would have written (see
-        :meth:`_append` for the seeding and compaction saves)."""
-
-        def build_record(
-            seq: int, base: int, persisted: dict[str, set[tuple]]
-        ) -> tuple[dict, dict[str, set[tuple]]]:
-            after = dict(persisted)
-            installed = pipeline.installed_signatures()
-            if remove or app_name not in installed:
-                prefix = f"{app_name}/"
-                for kind in journal_format.CACHE_KINDS:
-                    after[kind] = {
-                        key
-                        for key in persisted[kind]
-                        if not any(
-                            isinstance(rule_id, str)
-                            and rule_id.startswith(prefix)
-                            for rule_id in key
-                        )
-                    }
-                record = journal_format.remove_record(seq, base, app_name)
-                return record, after
-            sigs = installed[app_name]
-            ruleset = _ruleset_of(app_name, sigs, rulesets)
-            fingerprint = self._fingerprint(
-                pipeline.engine.resolver, ruleset, sigs
-            )
-            # Diff the engine's cache export against what is already
-            # persisted.  Adds keep export order (= engine insertion
-            # order = the order a full save writes); drops are sorted
-            # for deterministic record bytes (replay treats them as a
-            # set, so order carries no meaning).
-            cache_add: dict[str, list] = {}
-            cache_drop: dict[str, list] = {}
-            for kind, entries in pipeline.engine.export_caches().items():
-                eligible: dict[tuple, list] = {}
-                for rule_ids, result in entries:
-                    owners = [app_of_rule_id(r) for r in rule_ids]
-                    if any(app not in installed for app in owners):
-                        continue
-                    eligible[tuple(rule_ids)] = [rule_ids, result]
-                known = persisted.get(kind, set())
-                cache_add[kind] = [
-                    entry
-                    for key, entry in eligible.items()
-                    if key not in known
-                ]
-                cache_drop[kind] = sorted(
-                    list(key) for key in known if key not in eligible
-                )
-                after[kind] = set(eligible)
-            record = journal_format.commit_record(
-                seq,
-                base,
-                app_name,
-                sigs[0].environment if sigs else "",
-                fingerprint,
-                [rule_to_json(rule) for rule in ruleset.rules],
-                [signature_record(sig) for sig in sigs],
-                cache_add,
-                cache_drop,
-            )
-            return record, after
-
-        return self._append(pipeline, build_record, rulesets, frontend)
+        Appends one delta record to the journal: the committed app's
+        rules/signatures/fingerprint (or a removal marker), the other
+        apps re-signed in place and the solve-cache entries changed
+        since the last durable state, and the ``frontend`` ops, if any
+        (without them the blob stays as it is).  A load that replays it
+        observes exactly the state a full :meth:`save` would have
+        written (see :meth:`_append` for the seeding and compaction
+        saves)."""
+        return self._append(pipeline, app_name, remove, rulesets, frontend)
 
     def commit_frontend(
         self,
@@ -811,28 +867,15 @@ class DetectionStore:
         *,
         rulesets: Mapping[str, RuleSet] | None = None,
     ) -> StoreCommit:
-        """Durably record a frontend-only change — O(change), no shard
-        or directory edits.
-
-        The delta path for state that lives entirely in the frontend
-        blob, e.g. the runtime monitor's observation ledger (DESIGN.md
-        §16): one ``frontend`` journal record carries the ops and
-        touches nothing else, and a change with no ops writes nothing.
-        Seeds and compacts like :meth:`commit_app` (``rulesets`` feeds
-        those full saves)."""
-        if frontend.ops == []:
-            if self._journal is None:
-                self._init_journal()
-            if self._journal is not None and not self._journal.unwritten:
-                return StoreCommit(0, 0.0)
-        return self._append(
-            pipeline,
-            lambda seq, base, persisted: (
-                journal_format.frontend_record(seq, base), persisted
-            ),
-            rulesets,
-            frontend,
-        )
+        """Durably record a change made outside any keep/delete
+        decision, e.g. the runtime monitor's observation ledger
+        (DESIGN.md §16): one ``frontend`` record with the ops, O(change)
+        — plus the re-signed apps and cache delta when the pipeline
+        changed since the last durable commit (an audit's solves, a
+        re-configured installed app).  A change with no ops and no
+        pipeline change writes nothing.  Seeds and compacts like
+        :meth:`commit_app` (``rulesets`` feeds those full saves)."""
+        return self._append(pipeline, None, False, rulesets, frontend)
 
     # ------------------------------------------------------------------
     # Loading
@@ -913,7 +956,8 @@ class DetectionStore:
                 break
             try:
                 journal_format.apply_record(
-                    record, apps, shards, frontend_box, wanted
+                    record, apps, shards, frontend_box, wanted,
+                    canonical=meta["schema"] >= 5,
                 )
             except Exception:
                 break
@@ -932,7 +976,7 @@ class DetectionStore:
     ) -> StoreSnapshot | None:
         """Parse the store (base snapshot plus journal replay), or
         ``None`` when it is missing, corrupted, or written by a schema
-        version this reader does not know (v3 and v4 load).
+        version this reader does not know (v3, v4 and v5 load).
 
         ``environments`` restricts parsing to the named shards — the
         multi-home fleet path where one install should not pay for the
@@ -947,12 +991,15 @@ class DetectionStore:
     def _import_warm(
         self,
         pipeline: DetectionPipeline,
-        snapshot: StoreSnapshot,
-        rulesets: Iterable[RuleSet],
+        snapshot: StoreSnapshot | None,
+        rulesets: list[RuleSet],
     ) -> tuple[list[str], list[str]]:
         """Split apps into warm (persisted fingerprint matches the
-        current bindings) and stale (everything else), and import the
-        persisted solve-cache entries that touch only warm apps."""
+        current bindings) and stale (everything else, all of them
+        without a snapshot), and import the persisted solve-cache
+        entries that touch only warm apps."""
+        if snapshot is None:
+            return [], [ruleset.app_name for ruleset in rulesets]
         resolver = pipeline.engine.resolver
         warm: list[str] = []
         stale: list[str] = []
@@ -997,26 +1044,11 @@ class DetectionStore:
                 for ruleset in rulesets
             }
         snapshot = self.load(environments=environments)
-        if snapshot is None:
-            audited = list(rulesets) if rulesets is not None else []
-            return WarmStart(
-                pipeline=pipeline,
-                reports=pipeline.audit_store(audited),
-                warm_apps=[],
-                stale_apps=[ruleset.app_name for ruleset in audited],
-                cold=True,
-            )
         if rulesets is None:
-            rulesets = list(snapshot.rulesets().values())
+            rulesets = self._persisted_rulesets(snapshot)
         warm, stale = self._import_warm(pipeline, snapshot, rulesets)
         reports = pipeline.audit_store(rulesets)
-        return WarmStart(
-            pipeline=pipeline,
-            reports=reports,
-            warm_apps=warm,
-            stale_apps=stale,
-            cold=False,
-        )
+        return WarmStart(pipeline, reports, warm, stale, snapshot is None)
 
     def restore_into(
         self,
@@ -1039,17 +1071,8 @@ class DetectionStore:
         cold (all stale) — same degradation as :meth:`warm_start`."""
         if snapshot is None:
             snapshot = self.load()
-        if snapshot is None:
-            audited = list(rulesets) if rulesets is not None else []
-            return WarmStart(
-                pipeline=pipeline,
-                reports=[pipeline.add_ruleset(r) for r in audited],
-                warm_apps=[],
-                stale_apps=[r.app_name for r in audited],
-                cold=True,
-            )
         if rulesets is None:
-            rulesets = list(snapshot.rulesets().values())
+            rulesets = self._persisted_rulesets(snapshot)
         warm, stale = self._import_warm(pipeline, snapshot, rulesets)
         valid = set(warm)
         reports: list[ThreatReport] = []
@@ -1058,10 +1081,8 @@ class DetectionStore:
                 pipeline.restore_ruleset(ruleset)
             else:
                 reports.append(pipeline.add_ruleset(ruleset))
-        return WarmStart(
-            pipeline=pipeline,
-            reports=reports,
-            warm_apps=warm,
-            stale_apps=stale,
-            cold=False,
-        )
+        return WarmStart(pipeline, reports, warm, stale, snapshot is None)
+
+    @staticmethod
+    def _persisted_rulesets(snapshot: StoreSnapshot | None) -> list[RuleSet]:
+        return [] if snapshot is None else list(snapshot.rulesets().values())

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -216,15 +215,11 @@ class TenantHome:
         # What the next commit journals: the frontend ops the mutations
         # since the last durable commit queued, and the indices of
         # reviews whose entries changed (rendered at commit time).  A
-        # ``None`` queue means no durable baseline (or a change no
-        # journal record expresses): the next commit is a full save.
+        # ``None`` queue means no durable baseline: the next commit is
+        # a full save.  Detection-state changes need no queue — the
+        # store diffs the pipeline itself.
         self._ops: list | None = None
         self._dirty_reviews: set[int] = set()
-        # Commits that persisted solve-cache entries, and per app not
-        # installed the count when a review of it first cached solves
-        # (they stay cached until it is kept, deleted or re-signed).
-        self._solves_persisted = 0
-        self._solved_at: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Home devices
@@ -354,24 +349,7 @@ class TenantHome:
             ]
         for app_name in stale:
             self.pipeline.invalidate_app(app_name)
-            if app_name in self.rule_recorder.rulesets:
-                # An installed app re-signed in place: its directory
-                # entry changed where no journal record can put it (a
-                # commit record re-appends its app at the end of the
-                # installed order), so the next commit is a full save.
-                self._ops = None
-        cached = self.pipeline.engine.cache_size()
         report = self.pipeline.detect(ruleset)
-        if self.pipeline.engine.cache_size() > cached:
-            if payload.app_name in self.rule_recorder.rulesets:
-                # New solves between installed apps: frontend-only and
-                # remove records carry no cache entries, so the next
-                # commit is a full save.
-                self._ops = None
-            else:
-                self._solved_at.setdefault(
-                    payload.app_name, self._solves_persisted
-                )
         chains = find_chains(report.threats, self.allowed)
         review = InstallReview(
             app_name=payload.app_name,
@@ -404,18 +382,14 @@ class TenantHome:
         recorded = app_name in self.rule_recorder.rulesets
         if decision is InstallDecision.KEEP:
             ruleset = self._resolve_ruleset(app_name)
-            solved_at = self._solved_at.pop(app_name, self._solves_persisted)
-            if solved_at != self._solves_persisted:
-                # A commit persisted newer solves since this app's were
-                # cached: its record would append them after those,
-                # where a full save keeps the engine's order.
-                self._ops = None
             self.rule_recorder.record(ruleset)
             if not recorded:
                 self._mark_reviews_naming(app_name)
             self.pipeline.commit(app_name, ruleset)
             # Accepted pairs join the Allowed list for chained detection
-            # (paper §VI-D).
+            # (paper §VI-D), replacing the app's earlier ones: the
+            # list holds each pair once, as the latest review saw it.
+            self._disallow(app_name)
             allowed = len(self.allowed.pairs)
             self.allowed.add_all(review.threats)
             added = [_allowed_record(t) for t in self.allowed.pairs[allowed:]]
@@ -423,6 +397,8 @@ class TenantHome:
                 self._journal(["allow", added])
             self._commit_store(app_name)
         elif decision is InstallDecision.DELETE:
+            # A chain through an uninstalled rule cannot fire.
+            self._disallow(app_name)
             self.rule_recorder.forget(app_name)
             if recorded:
                 self._mark_reviews_naming(app_name)
@@ -442,6 +418,11 @@ class TenantHome:
             # RECONFIGURE keeps nothing: the app will send a fresh
             # payload after the user updates its settings.
             self.pipeline.discard(app_name)
+
+    def _disallow(self, app_name: str) -> None:
+        """Drop every Allowed pair naming ``app_name``."""
+        if self.allowed.disallow(app_name):
+            self._journal(["disallow", app_name])
 
     def installed_apps(self) -> list[str]:
         return sorted(self.rule_recorder.rulesets)
@@ -749,7 +730,7 @@ class TenantHome:
 
     def _frontend_blob(self) -> dict:
         """The whole frontend blob, written by full saves (seed,
-        compaction, :meth:`save_store`); commits journal its changes
+        compaction); commits journal its changes
         (:meth:`_frontend_delta`).  Recorded payloads, device types,
         Allowed list, review/decision history, and the facade's extra
         state."""
@@ -819,22 +800,6 @@ class TenantHome:
 
         return FrontendDelta(ops, self._frontend_blob, on_durable)
 
-    def save_store(self) -> None:
-        """Snapshot detection state + recorders to the configured store
-        as a full base rewrite (a no-op without a ``store_path``)."""
-        if self.store is None:
-            return
-        started = time.perf_counter()
-        written = self.store.save(
-            self.pipeline,
-            rulesets=self.rule_recorder.rulesets,
-            frontend=self._frontend_blob(),
-        )
-        self._synced()
-        self._account_store(
-            StoreCommit(written, time.perf_counter() - started, full=True)
-        )
-
     def _commit_store(self, app_name: str, remove: bool = False) -> None:
         """Durably record one decision — the delta path: one journal
         record with the app's detection delta and the frontend ops,
@@ -849,20 +814,14 @@ class TenantHome:
                 rulesets=self.rule_recorder.rulesets,
                 frontend=self._frontend_delta(),
                 remove=remove,
-            ),
-            persisted_solves=not remove,
+            )
         )
 
-    def _account_store(
-        self, receipt: StoreCommit, persisted_solves: bool = False
-    ) -> None:
-        """Fold one durable write into the store-cost counters; count
-        it if it persisted solve-cache entries (app commit, full save)."""
+    def _account_store(self, receipt: StoreCommit) -> None:
+        """Fold one durable write into the store-cost counters."""
         stats = self.pipeline.stats
         stats.store_bytes_written += receipt.bytes_written
         stats.store_commit_seconds += receipt.seconds
-        if persisted_solves or receipt.full or receipt.compacted:
-            self._solves_persisted += 1
 
     def load_store(self) -> list[str]:
         """Warm-start this home from the persisted store.

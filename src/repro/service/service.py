@@ -744,17 +744,6 @@ class HomeGuardService:
         restored app names (empty without a usable store)."""
         return self.home(home_id).load_store()
 
-    def save(self, home_id: str | None = None) -> None:
-        """Force store snapshots now (commits already save).  Without a
-        ``home_id`` only *resident* homes snapshot — evicted homes are
-        durable by construction (eviction requires a committed store)."""
-        for home in (
-            list(self._homes.values())
-            if home_id is None
-            else [self.home(home_id)]
-        ):
-            home.save_store()
-
     # ------------------------------------------------------------------
     # Lifecycle
 

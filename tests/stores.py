@@ -60,6 +60,25 @@ class FrontendMarker:
         return self._delta(["drop", "device_types", key])
 
 
+def recording_homes(receipts: list):
+    """Context manager: tenant homes created inside it store through a
+    :class:`DetectionStore` that appends every commit's
+    :class:`StoreCommit` to ``receipts``."""
+
+    class RecordingStore(DetectionStore):
+        def commit_app(self, *args, **kwargs) -> StoreCommit:
+            receipts.append(super().commit_app(*args, **kwargs))
+            return receipts[-1]
+
+        def commit_frontend(self, *args, **kwargs) -> StoreCommit:
+            receipts.append(super().commit_frontend(*args, **kwargs))
+            return receipts[-1]
+
+    return mock.patch.object(
+        repro.service.home, "DetectionStore", RecordingStore
+    )
+
+
 def full_save_homes():
     """Context manager: tenant homes created inside it store through
     :class:`FullSaveStore`."""

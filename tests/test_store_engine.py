@@ -28,6 +28,7 @@ import json
 import random
 import shutil
 import sqlite3
+import time
 import warnings
 from pathlib import Path
 
@@ -39,9 +40,11 @@ from repro.detector.store import SCHEMA_VERSION
 from repro.detector.storage import (
     DirectoryBackend,
     SQLiteStoreBackend,
+    StoreWriteError,
     make_store_backend,
 )
 from repro.runtime.events import Event
+from repro.service.home import _allowed_record
 from repro.service import (
     AuditRequest,
     DecisionRequest,
@@ -52,7 +55,12 @@ from repro.service import (
 
 from repro.testing.faults import FaultPlan, FaultSpec
 
-from tests.stores import FrontendMarker, FullSaveStore, full_save_homes
+from tests.stores import (
+    FrontendMarker,
+    FullSaveStore,
+    full_save_homes,
+    recording_homes,
+)
 from tests.test_detector_store import ZonedResolver, build_store
 
 KEEP_ALL = dict(policy=SeverityThresholdPolicy(threshold=10**6))
@@ -355,8 +363,9 @@ def _resign_steps(store_root, tune_store=None):
     rejected payload stays recorded, and the app is signed under it)
     and a re-typed device that a later review binds (every installed
     app bound to it is re-signed), then an audit that solves the pairs
-    the re-signing dropped, and a warm reload.  Yields ``(step, store
-    path)`` after every step, like :func:`_frontend_commit_steps`."""
+    the re-signing dropped, a re-keep and a DELETE of an app with
+    accepted pairs, and a warm reload.  Yields ``(step, store path)``
+    after every step, like :func:`_frontend_commit_steps`."""
     path = store_root / "h1"
     specs = (COMFORT_TV, COLD_DEFENDER, MODE_AWARE_HEATER, ITS_TOO_HOT)
     service = _stored_service(store_root, specs, tune_store)
@@ -395,6 +404,10 @@ def _resign_steps(store_root, tune_store=None):
     yield "audit", path
     monitor_batch(2)
     yield "batch after the audit", path
+    decide(MODE_AWARE_HEATER, "keep")
+    yield "keep ModeAwareHeater again", path
+    decide(MODE_AWARE_HEATER, "delete")
+    yield "delete ModeAwareHeater", path
     service.close()
     service = _stored_service(store_root, specs, tune_store)
     service.restore("h1")
@@ -408,30 +421,45 @@ def _assert_equal_full_saves(steps, root, tune_store):
     """Drive ``steps(store_root, tune_store)`` against a delta store
     and against the full-save oracle: after every step the canonical
     state, and the delta store's bytes once compacted, must equal the
-    oracle's.  Returns the delta store's base generation per step."""
-    delta = [
-        (
-            step,
-            canonical_state(DetectionStore(path)),
-            _generation(path),
-            _compacted_bytes(path, root / "fold"),
-        )
-        for step, path in steps(root / "delta", tune_store)
-    ]
+    oracle's.  Then every delta commit but the home's first (the seed)
+    must be a journal append: none is a full save, and the base
+    generation moves only in a step whose commits compacted.  Returns
+    the delta store's base generation per step."""
+    receipts = []
+    delta = []
+    with recording_homes(receipts):
+        for step, path in steps(root / "delta", tune_store):
+            delta.append((
+                step,
+                canonical_state(DetectionStore(path)),
+                _generation(path),
+                _compacted_bytes(path, root / "fold"),
+                list(receipts),
+            ))
+            receipts.clear()
     with full_save_homes():
         oracle = [
             (step, canonical_state(DetectionStore(path)), store_bytes(path))
             for step, path in steps(root / "full", None)
         ]
     assert [step for step, *_ in delta] == [step for step, *_ in oracle]
-    for (step, state, _, folded), (_, oracle_state, oracle_bytes) in zip(
+    for (step, state, _, folded, _), (_, oracle_state, oracle_bytes) in zip(
         delta, oracle
     ):
         assert oracle_state is not None, step
         assert state == oracle_state, step
         assert folded == oracle_bytes, step
     assert not (root / "full" / "h1" / "journal.jsonl").exists()
-    return [generation for _, _, generation, _ in delta]
+    commits = [receipt for *_, step_receipts in delta
+               for receipt in step_receipts]
+    assert commits[0].full
+    assert not [receipt for receipt in commits[1:] if receipt.full]
+    for (_, _, before, *_), (step, _, after, _, step_receipts) in zip(
+        delta, delta[1:]
+    ):
+        compacted = any(receipt.compacted for receipt in step_receipts)
+        assert (after != before) == compacted, step
+    return [generation for _, _, generation, *_ in delta]
 
 
 def test_frontend_commits_equal_full_saves(tmp_path):
@@ -533,55 +561,60 @@ def _random_steps(store_root, seed, count, tune_store=None):
     service.close()
 
 
+@pytest.mark.slow
 def test_random_operations_equal_full_saves(tmp_path):
     # Seed 25 re-types "Heater" under an installed ModeAwareHeater
     # before ItsTooHot binds it (step 18); seed 1 keeps apps whose
-    # earlier rejected reviews must render their threats again.  Both
-    # reconfigure kept apps, keep solves cached long before and audit.
+    # earlier rejected reviews must render their threats again.  All
+    # reconfigure kept apps, keep solves cached long before, delete
+    # apps with accepted pairs and audit — each a journal append.
     def tune(store):
         store.journal_max_records = 8  # replay and compaction both run
 
-    for seed in (25, 1):
+    for seed in (25, 1, 2, 3, 4, 5):
         _assert_equal_full_saves(
-            lambda root, tune_store: _random_steps(root, seed, 40, tune_store),
+            lambda root, tune_store: _random_steps(root, seed, 60, tune_store),
             tmp_path / f"seed{seed}",
             tune,
         )
 
 
-STORE_V3 = Path(__file__).parent / "fixtures" / "store_v3"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def test_v3_store_loads_under_v4(tmp_path):
-    # A store written by the last v3 writer (full frontend blobs in its
-    # journal records; see tests/fixtures/make_store_v3.py) parses to
-    # the state that writer parsed it to, folds into a v4 base without
+@pytest.mark.parametrize("schema", [3, 4])
+def test_v3_and_v4_stores_load_under_v5(tmp_path, schema):
+    # A store written by the last writer of its format (see
+    # tests/fixtures/make_store_v3.py and make_store_v4.py) parses to
+    # the state that writer parsed it to, folds into a v5 base without
     # changing it, and a home warm-started from it migrates it with its
     # first commit.
-    expected = (STORE_V3 / "canonical_state.json").read_text("utf-8")
+    fixture = FIXTURES / f"store_v{schema}"
+    expected = (fixture / "canonical_state.json").read_text("utf-8")
     for name in ("load", "fold", "home"):
-        shutil.copytree(STORE_V3 / "h1", tmp_path / name / "h1")
+        shutil.copytree(fixture / "h1", tmp_path / name / "h1")
     store = DetectionStore(tmp_path / "load" / "h1")
-    assert store.load().schema == 3
+    assert store.load().schema == schema
     assert canonical_state(store) == expected
 
     folded = DetectionStore(tmp_path / "fold" / "h1")
     assert folded.compact()
-    assert folded.load().schema == SCHEMA_VERSION == 4
+    assert folded.load().schema == SCHEMA_VERSION == 5
     assert canonical_state(folded) == expected
 
+    apps = list(json.loads(expected)["apps"])
     service = HomeGuardService(workers=None, store_root=tmp_path / "home")
-    service.preload([app_by_name("ComfortTV"), app_by_name("ColdDefender")])
+    service.preload([app_by_name(app) for app in apps])
     service.create_home("h1")
-    assert sorted(service.restore("h1")) == ["ColdDefender", "ComfortTV"]
+    assert sorted(service.restore("h1")) == sorted(apps)
     home = service.home("h1")
     assert len(home.observations()) == len(
         json.loads(expected)["frontend"]["extra"]["observations"]
     )
     window = home.home_devices["Window"].device_id
-    home.ingest_events([Event(window, "switch", "on", 10**6)], batch_id="v4")
+    home.ingest_events([Event(window, "switch", "on", 10**6)], batch_id="v5")
     migrated = DetectionStore(home.store.path)
-    assert migrated.load().schema == 4
+    assert migrated.load().schema == 5
     assert not (home.store.path / "journal.jsonl").exists()
     assert json.dumps(migrated.load().frontend) == json.dumps(
         json.loads(json.dumps(home._frontend_blob()))
@@ -726,32 +759,66 @@ def test_truncated_journal_degrades_to_a_commit_boundary(tmp_path):
 
 
 def _ops_in(journal_bytes: bytes) -> set[str]:
-    """The frontend op kinds a journal carries (``put``/``drop`` with
-    their section)."""
+    """The record kinds and frontend op kinds a journal carries
+    (``put``/``drop`` with their section; ``+cache`` and ``+resign``
+    on a record kind that carries a cache delta or re-signs)."""
     kinds = set()
     for line in journal_bytes.splitlines():
-        for op in json.loads(line).get("frontend_ops", []):
+        record = json.loads(line)
+        kinds.add(record["op"])
+        if "cache_add" in record or "cache_drop" in record:
+            kinds.add(f"{record['op']}+cache")
+        if "resign" in record:
+            kinds.add(f"{record['op']}+resign")
+        for op in record.get("frontend_ops", []):
             keyed = op[0] in ("put", "drop")
             kinds.add(f"{op[0]} {op[1]}" if keyed else op[0])
     return kinds
 
 
+#: The record kinds and frontend ops each home step list journals.
+HOME_JOURNAL_KINDS = {
+    "frontend": {
+        "commit", "commit+cache", "remove", "remove+cache", "frontend",
+        "put payloads", "drop payloads", "put device_types",
+        "put home_devices", "allow", "disallow", "review", "monitor",
+    },
+    "resign": {
+        "commit", "commit+cache", "commit+resign", "remove", "remove+cache",
+        "frontend", "frontend+cache", "frontend+resign", "put payloads",
+        "drop payloads", "put device_types", "put home_devices", "allow",
+        "disallow", "review", "monitor",
+    },
+}
+
+
 def test_truncated_home_journal_degrades_to_a_commit_boundary(tmp_path):
-    # The same battery over a journal a home wrote, holding every
-    # frontend op the home emits (no compaction: one base, one log).
+    # The same battery over the journals a home wrote, holding every
+    # record kind and frontend op the home emits (no compaction: one
+    # base, one log), cut at every record boundary and one byte either
+    # side of it.
     def tune(store):
         store.journal_max_records = 10**6
 
+    for name, steps in (
+        ("frontend", _frontend_commit_steps), ("resign", _resign_steps),
+    ):
+        _assert_truncations_hit_commit_boundaries(
+            steps, tmp_path / name, tune, HOME_JOURNAL_KINDS[name]
+        )
+
+
+def _assert_truncations_hit_commit_boundaries(steps, root, tune, kinds):
+    """Drive ``steps``, check the journal carries exactly ``kinds``,
+    then cut it at every record boundary ±1 byte (and every 263rd
+    byte): each cut must load to a state some step acknowledged."""
     acknowledged = set()
     path = None
-    for _, path in _frontend_commit_steps(tmp_path, tune):
+    for _, path in steps(root, tune):
         acknowledged.add(canonical_state(DetectionStore(path)))
     journal = path / "journal.jsonl"
     pristine = journal.read_bytes()
-    assert _ops_in(pristine) == {
-        "put payloads", "drop payloads", "put device_types",
-        "put home_devices", "allow", "review", "monitor",
-    }
+    assert _ops_in(pristine) == kinds
     boundaries = [
         index + 1 for index, byte in enumerate(pristine) if byte == 0x0A
     ]
@@ -766,13 +833,46 @@ def test_truncated_home_journal_degrades_to_a_commit_boundary(tmp_path):
     journal.write_bytes(pristine)
 
 
-def test_failed_commits_journal_their_delta_later(tmp_path):
+# A failed append surfaces as the backend's error (the directory
+# backend raises the injected OSError) or, where the backend swallows
+# it and reports zero bytes (SQLite), as the store's StoreWriteError.
+APPEND_FAILURES = {
+    "dir": sqlite3.OperationalError,
+    "sqlite": StoreWriteError,
+}
+
+
+def _home_store(root, backend, home_id="h1") -> DetectionStore:
+    """A fresh handle on the store a service rooted at ``root`` with
+    ``store_backend=backend`` keeps for ``home_id``."""
+    if backend == "sqlite":
+        return DetectionStore(
+            root / home_id,
+            backend=SQLiteStoreBackend(root / "store.sqlite").namespace(
+                home_id
+            ),
+        )
+    return DetectionStore(root / home_id)
+
+
+def _seconds_since_last_fault(plan) -> float:
+    """Wall seconds from the plan's last injected fault until now."""
+    events = plan.events()
+    assert events, "the plan logged no fault events"
+    return time.time() - max(event["t"] for event in events)
+
+
+@pytest.mark.parametrize("backend", sorted(APPEND_FAILURES))
+def test_failed_commits_journal_their_delta_later(tmp_path, backend):
     # A store append that fails leaves the home's durable cursor where
     # it was: the next commit journals the lost change too, so after
     # every successful commit the store holds exactly the live blob —
     # including a payload that was dropped and re-added across the
-    # failure (a pop plus reinsert in one record).
-    service = HomeGuardService(workers=None, store_root=tmp_path)
+    # failure (a pop plus reinsert in one record).  The record lands
+    # with the next commit, within 2 s of the fault.
+    service = HomeGuardService(
+        workers=None, store_root=tmp_path, store_backend=backend
+    )
     service.preload([app_by_name("ComfortTV"), app_by_name("ColdDefender")])
     service.create_home("h1")
     home = service.home("h1")
@@ -790,32 +890,41 @@ def test_failed_commits_journal_their_delta_later(tmp_path):
         ))
 
     def stored_blob():
-        return json.dumps(DetectionStore(home.store.path).load().frontend)
+        return json.dumps(_home_store(tmp_path, backend).load().frontend)
 
     def live_blob():
         return json.dumps(json.loads(json.dumps(home._frontend_blob())))
 
     decide(COMFORT_TV, "keep")
     decide(COLD_DEFENDER, "keep")
-    with FaultPlan([FaultSpec("store.append", kind="io-error", nth=(1,))]):
-        with pytest.raises(sqlite3.OperationalError):
+    plan = FaultPlan(
+        [FaultSpec("store.append", kind="io-error", nth=(1,))],
+        log_path=tmp_path / "faults.jsonl",
+    )
+    with plan:
+        with pytest.raises(APPEND_FAILURES[backend]):
             decide(COMFORT_TV, "delete")
     assert stored_blob() != live_blob()
     decide(COMFORT_TV, "keep")
-    journal = (home.store.path / "journal.jsonl").read_bytes()
-    last_ops = json.loads(journal.splitlines()[-1])["frontend_ops"]
+    assert _seconds_since_last_fault(plan) < 2.0
+    journal = home.store.backend.read_journal("journal.jsonl")
+    last_ops = json.loads(journal[-1])["frontend_ops"]
     assert ["drop", "payloads", "ComfortTV"] in last_ops
     assert stored_blob() == live_blob()
     service.close()
 
 
-def test_failed_app_commit_keeps_its_delta(tmp_path):
+@pytest.mark.parametrize("backend", sorted(APPEND_FAILURES))
+def test_failed_app_commit_keeps_its_delta(tmp_path, backend):
     # A kept app whose journal append fails must still reach the store:
     # the store holds the unwritten record and appends it ahead of the
     # next commit's, so the app, its solves and its frontend ops all
-    # land, and the store equals a full save after the next commit.
-    def run(root, fault):
-        service = HomeGuardService(workers=None, store_root=root)
+    # land — within 2 s of the fault — and the store equals a full
+    # save after the next commit.
+    def run(root, plan):
+        service = HomeGuardService(
+            workers=None, store_root=root, store_backend=backend
+        )
         service.preload([app_by_name("ComfortTV"),
                          app_by_name("ColdDefender")])
         service.create_home("h1")
@@ -834,26 +943,31 @@ def test_failed_app_commit_keeps_its_delta(tmp_path):
             ))
 
         decide(COMFORT_TV)
-        if fault:
-            with FaultPlan(
-                [FaultSpec("store.append", kind="io-error", nth=(1,))]
-            ):
-                with pytest.raises(sqlite3.OperationalError):
+        if plan is not None:
+            with plan:
+                with pytest.raises(APPEND_FAILURES[backend]):
                     decide(COLD_DEFENDER)
         else:
             decide(COLD_DEFENDER)
         decide(COMFORT_TV)
+        if plan is not None:
+            assert _seconds_since_last_fault(plan) < 2.0
         live = service.home("h1").pipeline.engine.export_caches()
         service.close()
-        return canonical_state(DetectionStore(root / "h1")), live
+        return canonical_state(_home_store(root, backend)), live
 
-    state, live = run(tmp_path / "delta", fault=True)
+    state, live = run(tmp_path / "delta", FaultPlan(
+        [FaultSpec("store.append", kind="io-error", nth=(1,))],
+        log_path=tmp_path / "faults.jsonl",
+    ))
     with full_save_homes():
-        oracle, _ = run(tmp_path / "full", fault=False)
+        oracle, _ = run(tmp_path / "full", None)
     assert state == oracle
     assert sum(map(len, live.values())) > 0
 
-    service = HomeGuardService(workers=None, store_root=tmp_path / "delta")
+    service = HomeGuardService(
+        workers=None, store_root=tmp_path / "delta", store_backend=backend
+    )
     service.preload([app_by_name("ComfortTV"), app_by_name("ColdDefender")])
     service.create_home("h1")
     assert sorted(service.restore("h1")) == ["ColdDefender", "ComfortTV"]
@@ -861,6 +975,50 @@ def test_failed_app_commit_keeps_its_delta(tmp_path):
     assert home.pipeline.engine.export_caches() == live
     assert home.pipeline.stats.solver_calls == 0
     service.close()
+
+
+def test_allowed_list_follows_delete_and_rekeep(tmp_path):
+    # Re-keeping an app replaces its accepted pairs (each pair once, as
+    # its latest review saw it) and a DELETE drops them, so the live
+    # list equals the one a restarted home loads, the reload is no
+    # full save, and a later reinstall finds the same chains in both.
+    def home_after(steps, restart):
+        root = tmp_path / f"{len(steps)}-{restart}"
+        service = _stored_service(root, (MODE_AWARE_HEATER, ITS_TOO_HOT))
+        for label, type_name in (("Temp", "temperatureSensor"),
+                                 ("Heater", "heater")):
+            service.register_device("h1", label, type_name)
+        for spec, decision in steps:
+            session = service.install(InstallRequest(home_id="h1", **spec))
+            service.decide(DecisionRequest(
+                home_id="h1", session_id=session.session_id,
+                decision=decision,
+            ))
+        if restart:
+            service.close()
+            service = _stored_service(root, (MODE_AWARE_HEATER, ITS_TOO_HOT))
+            service.restore("h1")
+        return service, root / "h1"
+
+    rekept = [(MODE_AWARE_HEATER, "keep"), (ITS_TOO_HOT, "keep"),
+              (MODE_AWARE_HEATER, "keep")]
+    for steps in (rekept, rekept + [(MODE_AWARE_HEATER, "delete")]):
+        homes = []
+        for restart in (False, True):
+            service, path = home_after(steps, restart)
+            home = service.home("h1")
+            pairs = [json.dumps(_allowed_record(t)) for t in home.allowed.pairs]
+            assert len(pairs) == len(set(pairs))
+            generation = _generation(path)
+            review = home.review_installation(
+                home.config_recorder.config_of("ItsTooHot")
+            )
+            home.pipeline.discard("ItsTooHot")
+            homes.append((pairs, [_allowed_record(c) for c in review.chains]))
+            service.close()
+            assert _generation(path) == generation
+        assert homes[0] == homes[1]
+    assert homes[0][0] == []  # every pair named the deleted app
 
 
 def test_deleted_install_journals_no_payload(tmp_path):
@@ -890,7 +1048,8 @@ def test_on_durable_drops_only_the_ops_that_landed(tmp_path):
     service = HomeGuardService(workers=None, store_root=tmp_path)
     service.create_home("h1")
     home = service.home("h1")
-    home.save_store()  # a baseline: changes queue from here on
+    service.register_device("h1", "Temp", "temperatureSensor")
+    home.flush_store()  # a baseline: changes queue from here on
     service.register_device("h1", "TV", "tv")
     delta = home._frontend_delta()
     service.register_device("h1", "Lamp", "switch")
@@ -1294,11 +1453,10 @@ def test_audits_leave_history_and_store_as_they_were(tmp_path):
     assert store_bytes(tmp_path / "root" / "h1") == before
 
 
-def test_eviction_after_a_load_that_differed_saves_once(tmp_path):
-    # A DELETE of a kept app leaves its accepted pairs live, and a load
-    # drops them, so the first re-hydration differs from the store and
-    # its eviction writes a full save; from then on loads match and
-    # evictions write nothing.
+def test_reload_after_a_delete_matches_the_store(tmp_path):
+    # A DELETE drops the app's accepted pairs from the live Allowed
+    # list, as a load does, so a re-hydrated home equals its store:
+    # evictions write nothing and the journal is never folded early.
     service = HomeGuardService(
         workers=None, store_root=tmp_path / "root", max_resident_homes=1
     )
@@ -1318,21 +1476,14 @@ def test_eviction_after_a_load_that_differed_saves_once(tmp_path):
         service.decide(DecisionRequest(
             home_id="h1", session_id=session.session_id, decision=decision,
         ))
+    assert service.home("h1").allowed.pairs == []
     service.create_home("h2")  # evicts h1
     path = tmp_path / "root" / "h1"
-
-    def files():
-        return {p.name: p.read_bytes() for p in path.iterdir()}
-
-    before = _generation(path)
-    service.home("h1")
-    service.home("h2")  # evicts h1
-    assert _generation(path) == before + 1
-    stored = files()
+    stored = {p.name: p.read_bytes() for p in path.iterdir()}
     for _ in range(2):
         service.home("h1")
-        service.home("h2")
-        assert files() == stored
+        service.home("h2")  # evicts h1
+        assert {p.name: p.read_bytes() for p in path.iterdir()} == stored
 
 
 def test_failed_eviction_flush_keeps_the_home_resident(tmp_path):
