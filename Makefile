@@ -2,7 +2,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 .PHONY: test test-hashseed test-faults bench bench-smoke bench-fleet \
-	bench-store bench-monitor serve-smoke lint docs-check schema-check loc
+	bench-store bench-monitor serve-smoke perf-smoke lint docs-check \
+	schema-check loc
 
 # Tier-1 verification: the full unit/integration suite.  The ten
 # slowest tests are listed so a stalled test shows up in every CI log.
@@ -99,6 +100,13 @@ serve-smoke:
 	BENCH_SERVICE_TENANTS=60 BENCH_SERVICE_REQUESTS=2 \
 	BENCH_SERVICE_EMIT_PATH=BENCH_service_load.ci.json \
 		$(PYTHON) -m pytest -q benchmarks/bench_service_load.py
+
+# Socket-to-store benchmark smoke: every perfbench workload for 2 s,
+# traced.  The trace wraps library callables by name, so a rename that
+# would break a traced run fails here, and each workload's own
+# correctness checks run too (exit 1 on a wrong answer).
+perf-smoke:
+	$(PYTHON) perfbench/run.py --workload all --seed 1 --seconds 2 --trace 1
 
 # Docs smoke: run the example scripts the README points at, end to
 # end, so the quickstart instructions can't rot.  store_audit also

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from bench_store_scale import _store_files, build_store
 from repro.constraints.dispatch import ThreadPoolDispatcher
-from repro.detector import DetectionPipeline, DetectionStore, ShardedRuleIndex
+from repro.detector import DetectionPipeline, DetectionStore
 from repro.testing.faults import FaultPlan, FaultSpec
 
 APPS = int(os.environ.get("BENCH_FAULT_APPS", "120"))
@@ -62,9 +62,7 @@ _EMIT_TRAJECTORY = False
 def _run_audit(rulesets, resolver, dispatcher):
     """Cold plan/execute audit; returns wall seconds, the full-fidelity
     threat tuple, the persisted store bytes and the pipeline stats."""
-    pipeline = DetectionPipeline(
-        resolver, index=ShardedRuleIndex(), dispatcher=dispatcher
-    )
+    pipeline = DetectionPipeline(resolver, dispatcher=dispatcher)
     try:
         started = time.perf_counter()
         reports = pipeline.audit_store(rulesets)

@@ -51,7 +51,7 @@ if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)
 
 from repro.corpus import app_by_name, device_controlling_apps
-from repro.detector import DetectionPipeline, DetectionStore, ShardedRuleIndex
+from repro.detector import DetectionPipeline, DetectionStore
 from repro.detector.storage import SQLiteStoreBackend
 from repro.rules.extractor import RuleExtractor
 from repro.service import (
@@ -131,7 +131,7 @@ def bench_commit_cost(root: Path) -> dict:
 
     # Template home: a real incremental audit, persisted with deltas.
     fleet = SQLiteStoreBackend(root / "fleet.sqlite")
-    pipeline = DetectionPipeline(resolver, index=ShardedRuleIndex())
+    pipeline = DetectionPipeline(resolver)
     template = DetectionStore(
         root / "homes" / "h0", backend=fleet.namespace("h0")
     )

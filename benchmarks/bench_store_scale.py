@@ -13,9 +13,10 @@ candidates are found and whether solves are replayed from disk:
   `detect_rulesets` did before the signature layer);
 * the *signed* brute force still scans all pairs but reuses memoized
   signatures (pipeline layer 1 only);
-* the pipeline (`DetectionPipeline` over a `ShardedRuleIndex`) looks
-  candidates up in the per-environment inverted index, so filtering
-  work scales with candidates, not pairs;
+* the pipeline (`DetectionPipeline` over its `RuleIndex`) looks
+  candidates up in the inverted index, whose channel and mode keys are
+  scoped per environment, so filtering work scales with candidates,
+  not pairs;
 * the *warm* arm saves the cold pipeline to a `DetectionStore`, then
   re-audits the unchanged store in a fresh pipeline — every solve must
   come from the persisted caches: **zero** solver calls (DESIGN.md §8);
@@ -65,7 +66,6 @@ from repro.detector import (
     DetectionEngine,
     DetectionPipeline,
     DetectionStore,
-    ShardedRuleIndex,
     compute_signature,
 )
 from repro.rules.extractor import RuleExtractor
@@ -213,7 +213,7 @@ def _run_signed_brute(rulesets, resolver):
 
 
 def _run_indexed(rulesets, resolver):
-    pipeline = DetectionPipeline(resolver, index=ShardedRuleIndex())
+    pipeline = DetectionPipeline(resolver)
     threats = set()
     started = time.perf_counter()
     for report in pipeline.audit_store(rulesets):
@@ -249,9 +249,7 @@ def _run_worker_arm(rulesets, resolver, workers: int):
     dispatcher = (
         SerialDispatcher() if workers <= 1 else ProcessPoolDispatcher(workers)
     )
-    pipeline = DetectionPipeline(
-        resolver, index=ShardedRuleIndex(), dispatcher=dispatcher
-    )
+    pipeline = DetectionPipeline(resolver, dispatcher=dispatcher)
     try:
         started = time.perf_counter()
         reports = pipeline.audit_store(rulesets)
@@ -408,7 +406,7 @@ def test_store_scale_indexed_vs_brute_force():
         )
         assert index_stats.planned_pairs == index_stats.pairs_examined
 
-        index_filter = index_s - index_stats.total_solve_seconds()
+        index_filter = index_s - index_stats.solver_cpu_seconds()
         warm_speedup = index_s / warm_s if warm_s else float("inf")
         results[size] = {
             "solver_calls": index_stats.solver_calls,
@@ -422,7 +420,7 @@ def test_store_scale_indexed_vs_brute_force():
             "warm_speedup": warm_speedup,
         }
         if run_brute:
-            seed_filter = seed_s - seed_stats.total_solve_seconds()
+            seed_filter = seed_s - seed_stats.solver_cpu_seconds()
             total_speedup = seed_s / index_s if index_s else float("inf")
             filter_speedup = (
                 seed_filter / index_filter if index_filter else float("inf")

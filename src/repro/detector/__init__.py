@@ -16,8 +16,8 @@ with solving results reused across threat types (paper Fig. 9).
 
 Detection runs as a three-layer pipeline (DESIGN.md): per-rule
 :class:`RuleSignature` facts are computed once, filed into the inverted
-:class:`RuleIndex` (one shard per home via :class:`ShardedRuleIndex`),
-and the incremental :class:`DetectionPipeline` feeds the engine only
+:class:`RuleIndex` (its channel and mode keys scoped per home), and
+the incremental :class:`DetectionPipeline` feeds the engine only
 index-selected candidate pairs — so installing app N+1 never rescans
 all installed rule pairs.  :class:`DetectionStore` persists all three
 layers plus the solve caches to a versioned, environment-sharded
@@ -37,7 +37,7 @@ from repro.detector.types import (
     ThreatType,
 )
 from repro.detector.engine import DetectionEngine
-from repro.detector.index import RuleIndex, ShardedRuleIndex
+from repro.detector.index import RuleIndex
 from repro.detector.pipeline import DetectionPipeline
 from repro.detector.signature import (
     RuleSignature,
@@ -66,7 +66,6 @@ __all__ = [
     "RuleIndex",
     "RuleSignature",
     "SQLiteStoreBackend",
-    "ShardedRuleIndex",
     "SignatureBuilder",
     "StoreBackend",
     "StoreCommit",

@@ -187,16 +187,6 @@ class DetectionStats:
         many workers executed the solves."""
         return sum(self.solve_seconds.values())
 
-    def total_solve_seconds(self) -> float:
-        """Summed solver CPU seconds, each executed solve counted
-        exactly once — when it actually ran.
-
-        Candidates served from a cache (including a condition overlap
-        reusing a situation solve, Fig. 9) contribute nothing: a batched
-        dispatch merges one timing per executed task, never one per
-        lookup, so cache-hit candidates are not double-counted."""
-        return self.solver_cpu_seconds()
-
     def solve_wall_seconds(self) -> float:
         """Wall seconds the solve phase took: the dispatch wall time for
         batched runs, the (serial) CPU sum for inline runs."""
@@ -895,7 +885,6 @@ class DetectionEngine:
         self,
         new_ruleset: RuleSet,
         installed: list[RuleSet],
-        include_intra_app: bool = True,
     ) -> ThreatReport:
         """Brute-force detection run for one app installation (paper §VI
         intro): the new app's rules against every installed rule, plus
@@ -910,11 +899,10 @@ class DetectionEngine:
             for rule_a in new_ruleset.rules:
                 for rule_b in other.rules:
                     report.threats.extend(self.detect_pair(rule_a, rule_b))
-        if include_intra_app:
-            rules = new_ruleset.rules
-            for i, rule_a in enumerate(rules):
-                for rule_b in rules[i + 1:]:
-                    report.threats.extend(self.detect_pair(rule_a, rule_b))
+        rules = new_ruleset.rules
+        for i, rule_a in enumerate(rules):
+            for rule_b in rules[i + 1:]:
+                report.threats.extend(self.detect_pair(rule_a, rule_b))
         return report
 
     # ------------------------------------------------------------------

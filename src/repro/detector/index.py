@@ -45,44 +45,20 @@ contradict), so :meth:`RuleIndex.candidates` accepts an optional
 .may_interfere` — applied once per deduplicated candidate to prune
 pairs that provably cannot interfere before any planning or constraint
 term building happens (DESIGN.md §10).
-Channel keys are scoped by the signature's environment: channels are
-physical features of one home, so a multi-home (zoned) resolver makes
-cross-home channel buckets disjoint and candidate counts stay linear
-in the store size.
-
-For fleet-scale deployments :class:`ShardedRuleIndex` goes one step
-further and keeps a whole :class:`RuleIndex` per environment, which is
-also the unit of persistence — the detection store writes one shard
-file per home and can restore a single home's index without parsing
-the rest (see :mod:`repro.detector.store` and DESIGN.md §8).
-Index buckets round-trip to JSON via :meth:`RuleIndex.to_payload` /
-:meth:`RuleIndex.from_payload`.
+Channel and mode keys are scoped by the signature's environment:
+channels are physical features of one home, so a multi-home (zoned)
+resolver makes cross-home channel buckets disjoint and candidate counts
+stay linear in the store size.  Identity buckets are *not* scoped: a
+resolver that aliases one device identity across environments (e.g.
+repository analysis with per-tenant homes) still pairs its writers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator
 
 from repro.detector.signature import RuleSignature
-
-# Bucket maps keyed by a plain string (identity / environment) vs. by an
-# (environment, channel[, effect]) tuple — the distinction matters only
-# for the JSON payload encoding in :meth:`RuleIndex.to_payload`.
-_STR_KEYED_MAPS = (
-    "writers_by_identity",
-    "mode_conditions",
-    "mode_writers",
-)
-_TUPLE_KEYED_MAPS = (
-    "writers_by_identity_attr",
-    "movers_by_channel",
-    "movers_by_channel_effect",
-    "triggers_by_identity_attr",
-    "triggers_by_channel",
-    "conditions_by_identity_attr",
-    "conditions_by_channel",
-)
 
 
 @dataclass(slots=True)
@@ -138,75 +114,72 @@ class RuleIndex:
     # ------------------------------------------------------------------
     # Maintenance
 
-    def add(self, sig: RuleSignature) -> None:
+    def _postings(
+        self, sig: RuleSignature
+    ) -> Iterator[tuple[dict[object, list[RuleSignature]], object]]:
+        """The (bucket map, key) pairs ``sig`` is filed under, in
+        filing order; a key may repeat (e.g. two condition reads of one
+        (identity, attribute))."""
         env = sig.environment
-        self.by_app.setdefault(sig.app_name, []).append(sig)
-        if sig.is_device_action and sig.action_identity is not None:
-            self.writers_by_identity.setdefault(
-                sig.action_identity, []
-            ).append(sig)
-            if sig.command_target is not None:
-                self.writers_by_identity_attr.setdefault(
-                    (sig.action_identity, sig.command_target[0]), []
-                ).append(sig)
         if sig.is_device_action:
+            if sig.action_identity is not None:
+                yield self.writers_by_identity, sig.action_identity
+                if sig.command_target is not None:
+                    yield self.writers_by_identity_attr, (
+                        sig.action_identity, sig.command_target[0]
+                    )
             for channel, effect in sig.action_effects.items():
-                self.movers_by_channel.setdefault(
-                    (env, channel), []
-                ).append(sig)
-                self.movers_by_channel_effect.setdefault(
-                    (env, channel, effect.value), []
-                ).append(sig)
+                yield self.movers_by_channel, (env, channel)
+                yield self.movers_by_channel_effect, (
+                    env, channel, effect.value
+                )
         if sig.sets_location_mode:
-            self.mode_writers.setdefault(env, []).append(sig)
+            yield self.mode_writers, env
         if sig.trigger_fireable:
             if (
                 sig.trigger_identity is not None
                 and sig.trigger_attribute is not None
             ):
-                self.triggers_by_identity_attr.setdefault(
-                    (sig.trigger_identity, sig.trigger_attribute), []
-                ).append(sig)
+                yield self.triggers_by_identity_attr, (
+                    sig.trigger_identity, sig.trigger_attribute
+                )
             if sig.trigger_has_device and sig.trigger_channel is not None:
-                self.triggers_by_channel.setdefault(
-                    (env, sig.trigger_channel), []
-                ).append(sig)
+                yield self.triggers_by_channel, (env, sig.trigger_channel)
         for read in sig.condition_reads:
-            self.conditions_by_identity_attr.setdefault(
-                (read.identity, read.attr.attribute), []
-            ).append(sig)
+            yield self.conditions_by_identity_attr, (
+                read.identity, read.attr.attribute
+            )
             if read.channel is not None:
-                self.conditions_by_channel.setdefault(
-                    (env, read.channel), []
-                ).append(sig)
+                yield self.conditions_by_channel, (env, read.channel)
         if sig.condition_uses_mode:
-            self.mode_conditions.setdefault(env, []).append(sig)
+            yield self.mode_conditions, env
+
+    def add(self, sig: RuleSignature) -> None:
+        self.by_app.setdefault(sig.app_name, []).append(sig)
+        for mapping, key in self._postings(sig):
+            mapping.setdefault(key, []).append(sig)
 
     def add_ruleset(self, sigs: Iterable[RuleSignature]) -> None:
         for sig in sigs:
             self.add(sig)
 
     def remove_app(self, app_name: str) -> None:
-        if self.by_app.pop(app_name, None) is None:
+        """Un-index an app.  Only the buckets its signatures are filed
+        under are filtered, each once, so the cost follows the app, not
+        the index size; the other apps' entries keep their order."""
+        sigs = self.by_app.pop(app_name, None)
+        if sigs is None:
             return
-        for mapping in (
-            self.writers_by_identity,
-            self.writers_by_identity_attr,
-            self.movers_by_channel,
-            self.movers_by_channel_effect,
-            self.triggers_by_identity_attr,
-            self.triggers_by_channel,
-            self.conditions_by_identity_attr,
-            self.conditions_by_channel,
-            self.mode_conditions,
-            self.mode_writers,
-        ):
-            for key in list(mapping):
-                kept = [s for s in mapping[key] if s.app_name != app_name]
-                if kept:
-                    mapping[key] = kept
-                else:
-                    del mapping[key]
+        touched: dict[tuple[int, object], dict] = {}
+        for sig in sigs:
+            for mapping, key in self._postings(sig):
+                touched[id(mapping), key] = mapping
+        for (_, key), mapping in touched.items():
+            kept = [s for s in mapping[key] if s.app_name != app_name]
+            if kept:
+                mapping[key] = kept
+            else:
+                del mapping[key]
 
     # ------------------------------------------------------------------
     # Candidate retrieval
@@ -277,196 +250,6 @@ class RuleIndex:
                 take(self.movers_by_channel.get((env, read.channel)))
         if sig.condition_uses_mode:
             take(self.mode_writers.get(env))
-        if prescreen is None:
-            return list(found.values())
-        return [other for other in found.values() if prescreen(other)]
-
-    # ------------------------------------------------------------------
-    # Persistence (DESIGN.md §8)
-
-    def to_payload(self) -> dict:
-        """The index buckets as a JSON-serializable payload: every
-        bucket becomes a list of rule ids, tuple keys become lists."""
-        def ids(bucket: list[RuleSignature]) -> list[str]:
-            return [sig.rule_id for sig in bucket]
-
-        payload: dict = {
-            name: {key: ids(bucket) for key, bucket in getattr(self, name).items()}
-            for name in _STR_KEYED_MAPS
-        }
-        for name in _TUPLE_KEYED_MAPS:
-            payload[name] = [
-                [list(key), ids(bucket)]
-                for key, bucket in getattr(self, name).items()
-            ]
-        payload["by_app"] = {
-            app: ids(bucket) for app, bucket in self.by_app.items()
-        }
-        return payload
-
-    @classmethod
-    def from_payload(
-        cls, payload: dict, signatures: Mapping[str, RuleSignature]
-    ) -> "RuleIndex":
-        """Rebuild an index from a :meth:`to_payload` snapshot.
-
-        ``signatures`` maps rule id -> live (re-signed) signature; rule
-        ids absent from the map — e.g. apps whose bindings changed and
-        must be re-audited — are dropped from every bucket."""
-        index = cls()
-
-        def sigs(rule_ids: list[str]) -> list[RuleSignature]:
-            return [
-                signatures[rule_id]
-                for rule_id in rule_ids
-                if rule_id in signatures
-            ]
-
-        for name in _STR_KEYED_MAPS:
-            mapping = getattr(index, name)
-            for key, rule_ids in payload.get(name, {}).items():
-                bucket = sigs(rule_ids)
-                if bucket:
-                    mapping[key] = bucket
-        for name in _TUPLE_KEYED_MAPS:
-            mapping = getattr(index, name)
-            for key, rule_ids in payload.get(name, []):
-                bucket = sigs(rule_ids)
-                if bucket:
-                    mapping[tuple(key)] = bucket
-        for app, rule_ids in payload.get("by_app", {}).items():
-            bucket = sigs(rule_ids)
-            if bucket:
-                index.by_app[app] = bucket
-        return index
-
-
-class ShardedRuleIndex:
-    """A :class:`RuleIndex` per environment, for multi-home fleets.
-
-    A device physically exists in one home and environment channels are
-    per home, so almost every candidate lookup touches exactly one
-    shard: the signature's own environment.  The one exception is a
-    resolver that aliases a device *identity* across environments (e.g.
-    repository analysis with per-tenant environments, where ``type:tv``
-    can appear in two homes); ``_identity_envs`` tracks which shards
-    know each identity so those direct-state candidates are still found
-    and the reported threat set stays exactly equal to a flat
-    :class:`RuleIndex`.
-
-    Sharding is what makes the persisted store loadable per home
-    (DESIGN.md §8): a fleet controller restoring one install touches
-    one shard file, not the whole 5k-app snapshot.
-    """
-
-    __slots__ = ("shards", "_env_of_app", "_identity_envs")
-
-    def __init__(self) -> None:
-        self.shards: dict[str, RuleIndex] = {}
-        self._env_of_app: dict[str, str] = {}
-        # identity key -> {environment -> number of indexed signatures}
-        self._identity_envs: dict[str, dict[str, int]] = {}
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards.values())
-
-    @property
-    def apps(self) -> list[str]:
-        return list(self._env_of_app)
-
-    @property
-    def environments(self) -> list[str]:
-        return list(self.shards)
-
-    def shard(self, environment: str) -> RuleIndex:
-        existing = self.shards.get(environment)
-        if existing is None:
-            existing = self.shards[environment] = RuleIndex()
-        return existing
-
-    @staticmethod
-    def _identities(sig: RuleSignature) -> set[str]:
-        keys: set[str] = set()
-        if sig.action_identity is not None:
-            keys.add(sig.action_identity)
-        if sig.trigger_identity is not None:
-            keys.add(sig.trigger_identity)
-        for read in sig.condition_reads:
-            keys.add(read.identity)
-        return keys
-
-    # ------------------------------------------------------------------
-    # Maintenance
-
-    def add(self, sig: RuleSignature) -> None:
-        env = sig.environment
-        self._env_of_app[sig.app_name] = env
-        self.shard(env).add(sig)
-        for identity in self._identities(sig):
-            counts = self._identity_envs.setdefault(identity, {})
-            counts[env] = counts.get(env, 0) + 1
-
-    def add_ruleset(self, sigs: Iterable[RuleSignature]) -> None:
-        for sig in sigs:
-            self.add(sig)
-
-    def remove_app(self, app_name: str) -> None:
-        env = self._env_of_app.pop(app_name, None)
-        if env is None:
-            return
-        shard = self.shards.get(env)
-        if shard is None:
-            return
-        for sig in shard.by_app.get(app_name, ()):
-            for identity in self._identities(sig):
-                counts = self._identity_envs.get(identity)
-                if counts is None:
-                    continue
-                remaining = counts.get(env, 0) - 1
-                if remaining > 0:
-                    counts[env] = remaining
-                else:
-                    counts.pop(env, None)
-                    if not counts:
-                        del self._identity_envs[identity]
-        shard.remove_app(app_name)
-        if not len(shard):
-            del self.shards[env]
-
-    # ------------------------------------------------------------------
-    # Candidate retrieval
-
-    def candidates(
-        self,
-        sig: RuleSignature,
-        exclude_app: str | None = None,
-        prescreen=None,
-    ) -> list[RuleSignature]:
-        """Union of candidates over the home shard plus any foreign
-        shard sharing one of the signature's device identities.
-
-        Foreign-shard queries only ever match identity buckets: channel
-        and mode buckets are keyed by the signature's own environment,
-        which a foreign shard never contains.  ``prescreen`` runs once
-        per cross-shard-deduplicated candidate, like the flat index."""
-        env = sig.environment
-        envs = [env]
-        for identity in self._identities(sig):
-            for other_env in self._identity_envs.get(identity, ()):
-                if other_env not in envs:
-                    envs.append(other_env)
-        if len(envs) == 1:
-            shard = self.shards.get(env)
-            if shard is None:
-                return []
-            return shard.candidates(sig, exclude_app, prescreen)
-        found: dict[str, RuleSignature] = {}
-        for shard_env in envs:
-            shard = self.shards.get(shard_env)
-            if shard is None:
-                continue
-            for other in shard.candidates(sig, exclude_app):
-                found.setdefault(other.rule_id, other)
         if prescreen is None:
             return list(found.values())
         return [other for other in found.values() if prescreen(other)]

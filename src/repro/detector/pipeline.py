@@ -42,7 +42,7 @@ from typing import Iterable
 from repro.constraints.builder import DeviceResolver
 from repro.constraints.dispatch import SolverDispatcher, make_dispatcher
 from repro.detector.engine import DetectionEngine
-from repro.detector.index import RuleIndex, ShardedRuleIndex
+from repro.detector.index import RuleIndex
 from repro.detector.signature import RuleSignature, may_interfere
 from repro.detector.types import ThreatReport
 from repro.rules.model import RuleSet
@@ -54,8 +54,6 @@ class DetectionPipeline:
     def __init__(
         self,
         resolver: DeviceResolver,
-        include_intra_app: bool = True,
-        index: RuleIndex | ShardedRuleIndex | None = None,
         dispatcher: SolverDispatcher | int | str | None = None,
         shared_cache=None,
     ) -> None:
@@ -63,11 +61,7 @@ class DetectionPipeline:
         # backend (DESIGN.md §12), owned by whoever created it — the
         # pipeline never closes it.
         self.engine = DetectionEngine(resolver, shared_cache=shared_cache)
-        # Any object with the RuleIndex query/maintenance interface
-        # works; multi-home fleets pass a ShardedRuleIndex so lookups
-        # (and persisted snapshots) stay per home.
-        self.index = RuleIndex() if index is None else index
-        self.include_intra_app = include_intra_app
+        self.index = RuleIndex()
         # None keeps the inline solve path; anything else (a dispatcher
         # instance, a worker count, or a "process:4"-style spec) routes
         # detection through plan/execute batches.
@@ -141,13 +135,12 @@ class DetectionPipeline:
                 sig, exclude_app=app_name, prescreen=prescreen
             ):
                 pairs.append((sig, other))
-        if self.include_intra_app:
-            for i, sig_a in enumerate(sigs):
-                for sig_b in sigs[i + 1:]:
-                    if may_interfere(sig_a, sig_b):
-                        pairs.append((sig_a, sig_b))
-                    else:
-                        stats.prescreen_pruned_pairs += 1
+        for i, sig_a in enumerate(sigs):
+            for sig_b in sigs[i + 1:]:
+                if may_interfere(sig_a, sig_b):
+                    pairs.append((sig_a, sig_b))
+                else:
+                    stats.prescreen_pruned_pairs += 1
         stats.planned_pairs += len(pairs)
         return pairs
 

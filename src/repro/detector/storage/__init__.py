@@ -50,8 +50,8 @@ def make_store_backend(
             "or a StoreBackend instance"
         )
     name, _, arg = spec.strip().partition(":")
-    if name.lower() == "dir":
-        return DirectoryBackend(Path(arg) if arg else path)
+    if name.lower() == "dir" and not arg:
+        return DirectoryBackend(path)
     if name.lower() == "sqlite":
         return SQLiteStoreBackend(
             Path(arg) if arg else Path(path) / SQLITE_STORE_FILE

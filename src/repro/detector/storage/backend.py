@@ -101,6 +101,9 @@ class DirectoryBackend(StoreBackend):
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
+        # Journals whose tail this instance has checked for a torn
+        # record (see _drop_torn_tail).
+        self._tails_checked: set[str] = set()
 
     def _fsync_dir(self) -> None:
         try:
@@ -146,11 +149,40 @@ class DirectoryBackend(StoreBackend):
         except OSError:
             return []
 
+    def _drop_torn_tail(self, key: str) -> None:
+        """Truncate the journal back to its last newline, durably.
+
+        A crash mid-append leaves a record without its newline; an
+        append after it would share its line, and replay, which stops
+        at the first line that does not parse, would hide that record
+        and every later one."""
+        try:
+            handle = open(self.path / key, "r+b")
+        except FileNotFoundError:
+            return
+        with handle:
+            size = handle.seek(0, os.SEEK_END)
+            if size == 0:
+                return
+            handle.seek(size - 1)
+            if handle.read(1) == b"\n":
+                return
+            handle.seek(0)
+            handle.truncate(handle.read().rfind(b"\n") + 1)
+            handle.flush()
+            os.fsync(handle.fileno())
+
     def append_journal(self, key: str, line: str) -> int:
         # Chaos-battery injection point: a planned fault here surfaces
         # as the OSError an interrupted append would raise (DESIGN.md
         # §15), matching the sqlite backend's "store.append" point.
         fault_hook("store.append")
+        if key not in self._tails_checked:
+            # Once per instance: a tail is torn only by a crash before
+            # this instance's first append, or by a failed append of
+            # its own (which clears the mark below).
+            self._drop_torn_tail(key)
+            self._tails_checked.add(key)
         target = self.path / key
         data = line.encode("utf-8") + b"\n"
         try:
@@ -158,11 +190,15 @@ class DirectoryBackend(StoreBackend):
         except FileNotFoundError:
             self.path.mkdir(parents=True, exist_ok=True)
             handle = open(target, "ab")
-        with handle:
-            fresh = handle.tell() == 0
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
+        try:
+            with handle:
+                fresh = handle.tell() == 0
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
+        except BaseException:
+            self._tails_checked.discard(key)
+            raise
         if fresh:
             # The journal file's directory entry must be durable too,
             # or a crash could lose the whole (acknowledged) journal.

@@ -76,7 +76,6 @@ from typing import Callable, Iterable, Mapping
 
 from repro.constraints.builder import DeviceResolver, environment_of
 from repro.detector.engine import app_of_rule_id
-from repro.detector.index import RuleIndex, ShardedRuleIndex
 from repro.detector.pipeline import DetectionPipeline
 from repro.detector.signature import RuleSignature
 from repro.detector.storage import (
@@ -1021,8 +1020,6 @@ class DetectionStore:
         self,
         resolver: DeviceResolver,
         rulesets: list[RuleSet] | None = None,
-        include_intra_app: bool = True,
-        index: RuleIndex | ShardedRuleIndex | None = None,
     ) -> WarmStart:
         """Replay a full store audit on a fresh pipeline, serving every
         solve of fingerprint-validated apps from the persisted caches.
@@ -1032,11 +1029,7 @@ class DetectionStore:
         whose bindings changed (and pairs touching them) re-solve
         transparently.  ``rulesets`` defaults to the persisted ones, so
         a bare ``warm_start(resolver)`` re-audits the stored fleet."""
-        pipeline = DetectionPipeline(
-            resolver,
-            include_intra_app=include_intra_app,
-            index=ShardedRuleIndex() if index is None else index,
-        )
+        pipeline = DetectionPipeline(resolver)
         environments = None
         if rulesets is not None:
             environments = {

@@ -34,7 +34,11 @@ from repro.config.uri import ConfigPayload
 from repro.constraints.dispatch import SolverDispatcher, make_dispatcher
 from repro.constraints.solvecache import SolveCacheBackend, make_solve_cache
 from repro.corpus.model import CorpusApp
-from repro.detector.storage import SQLITE_STORE_FILE, SQLiteStoreBackend
+from repro.detector.storage import (
+    SQLITE_STORE_FILE,
+    SQLiteStoreBackend,
+    make_store_backend,
+)
 from repro.rules.extractor import ExtractionError, RuleExtractor
 from repro.rules.model import RuleSet
 from repro.service.errors import (
@@ -139,7 +143,8 @@ class HomeGuardService:
         connection), ``"sqlite:<file>"`` to name the database
         explicitly, or a :class:`~repro.detector.storage
         .SQLiteStoreBackend` instance to share with another
-        controller.
+        controller.  Any other backend instance is refused with
+        ``ValueError``: it cannot give each home its own namespace.
     max_resident_homes:
         Optional bound on *resident* tenant homes (lazy shard
         loading, DESIGN.md §14).  Created homes are registered
@@ -169,13 +174,7 @@ class HomeGuardService:
         store_backend: "str | SQLiteStoreBackend | None" = None,
         max_resident_homes: int | None = None,
     ) -> None:
-        self.extractor = extractor if extractor is not None else RuleExtractor()
-        self.dispatcher = make_dispatcher(workers)
-        self.solve_cache = make_solve_cache(solve_cache)
         self.store_root = None if store_root is None else Path(store_root)
-        self.default_policy = policy if policy is not None else InteractivePolicy()
-        self.store_backend = store_backend
-        self.max_resident_homes = max_resident_homes
         # One fleet-wide store database (when configured): every home
         # persists through a namespace view over this single backend —
         # one file, one connection, shareable across controllers.
@@ -184,15 +183,32 @@ class HomeGuardService:
             self._fleet_backend = store_backend
         elif isinstance(store_backend, str):
             name, _, arg = store_backend.strip().partition(":")
-            if name.lower() == "sqlite":
-                if arg:
-                    self._fleet_backend = SQLiteStoreBackend(Path(arg))
-                elif self.store_root is not None:
-                    self._fleet_backend = SQLiteStoreBackend(
-                        self.store_root / SQLITE_STORE_FILE
-                    )
-                # else: the spec passes through per home (each home's
-                # store_path gets its own database file).
+            if name.lower() != "sqlite":
+                # Every other spec resolves against each home's own
+                # store path; check it now, not at the first home.
+                make_store_backend(store_backend, "")
+            elif arg:
+                self._fleet_backend = SQLiteStoreBackend(Path(arg))
+            elif self.store_root is not None:
+                self._fleet_backend = SQLiteStoreBackend(
+                    self.store_root / SQLITE_STORE_FILE
+                )
+            # else: the spec passes through per home (each home's
+            # store_path gets its own database file).
+        elif store_backend is not None:
+            # One instance would be every home's store at once: only a
+            # SQLite backend can hand each home its own namespace.
+            raise ValueError(
+                f"store_backend {store_backend!r} cannot be namespaced "
+                "per home; pass None, 'dir', 'sqlite', 'sqlite:<path>' "
+                "or a SQLiteStoreBackend instance"
+            )
+        self.extractor = extractor if extractor is not None else RuleExtractor()
+        self.dispatcher = make_dispatcher(workers)
+        self.solve_cache = make_solve_cache(solve_cache)
+        self.default_policy = policy if policy is not None else InteractivePolicy()
+        self.store_backend = store_backend
+        self.max_resident_homes = max_resident_homes
         # The capability registry is process-global by design (paper
         # Appendix A); expose it so tenants introspect one shared
         # catalogue instead of importing module internals.

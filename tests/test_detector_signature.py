@@ -213,3 +213,43 @@ def test_index_excludes_app():
     assert index.candidates(sig_f)
     assert not index.candidates(sig_f, exclude_app="Heater")
     assert not index.candidates(sig_h, exclude_app="Heater")
+
+
+TWO_SENSOR_APP = '''
+input "tA", "capability.temperatureMeasurement"
+input "tB", "capability.temperatureMeasurement"
+input "fan3", "capability.switch"
+def installed() { subscribe(tA, "temperature", h) }
+def h(evt) {
+    if (tA.currentTemperature > 80 && tB.currentTemperature > 80) fan3.on()
+}
+'''
+
+
+def test_index_remove_app_drops_a_signature_filed_twice_under_one_key():
+    # Both condition reads resolve to one (identity, attribute) and one
+    # channel, so the signature is filed twice under each of those keys.
+    resolver = TypeBasedResolver(
+        type_hints={
+            **HINTS,
+            "TwoSensors": {"tA": "temperatureSensor",
+                           "tB": "temperatureSensor", "fan3": "fan"},
+        }
+    )
+    builder = SignatureBuilder(resolver)
+    sig_two = builder.sign(_rule(TWO_SENSOR_APP, "TwoSensors"))
+    sig_h = builder.sign(_rule(HEATER_APP, "Heater"))
+    read_key = {
+        (read.identity, read.attr.attribute) for read in sig_two.condition_reads
+    }
+    assert len(sig_two.condition_reads) == 2 and len(read_key) == 1
+    index = RuleIndex()
+    index.add(sig_h)
+    index.add(sig_two)
+    assert index.conditions_by_identity_attr[read_key.pop()] == [
+        sig_two, sig_two,
+    ]
+    index.remove_app("TwoSensors")
+    fresh = RuleIndex()
+    fresh.add(sig_h)
+    assert index == fresh

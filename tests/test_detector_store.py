@@ -10,23 +10,19 @@ The invariants under test:
   re-signing/re-solving;
 * a resolver-binding change (device re-binding, input value change)
   invalidates exactly the touched app;
-* the environment-sharded index is observably equivalent to the flat
-  index, including the cross-environment identity corner case, and one
-  home's shard loads (and rebuilds its index) without reading any
-  other shard file.
+* the rule index finds cross-environment identity pairs, un-indexes
+  an app without a trace (a seeded add/remove/re-add walk equals a
+  fresh build after every step), and one home's shard loads (and
+  rebuilds its index entries) without reading any other shard file.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+import random
+from dataclasses import dataclass, field, fields, replace
 
 from homes import HOME, install, new_home
 from repro.corpus import device_controlling_apps
-from repro.detector import (
-    DetectionPipeline,
-    DetectionStore,
-    RuleIndex,
-    ShardedRuleIndex,
-)
+from repro.detector import DetectionPipeline, DetectionStore, RuleIndex
 from repro.detector.signature import SignatureBuilder
 from repro.detector.store import SCHEMA_VERSION, _pinned_inputs
 from repro.rules.extractor import RuleExtractor
@@ -85,10 +81,8 @@ def build_store(size: int = STORE_SIZE):
     return rulesets, resolver
 
 
-def _cold_audit(rulesets, resolver, index=None):
-    pipeline = DetectionPipeline(
-        resolver, index=ShardedRuleIndex() if index is None else index
-    )
+def _cold_audit(rulesets, resolver):
+    pipeline = DetectionPipeline(resolver)
     reports = pipeline.audit_store(rulesets)
     return pipeline, reports
 
@@ -246,27 +240,58 @@ def test_binding_change_invalidates_exactly_that_app(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Sharded index equivalence
+# The rule index
 
 
-def test_sharded_index_matches_flat_index():
+def _buckets(index: RuleIndex) -> dict:
+    """Every bucket map of ``index`` as rule ids, bucket order kept."""
+    return {
+        f.name: {
+            key: [sig.rule_id for sig in bucket]
+            for key, bucket in getattr(index, f.name).items()
+        }
+        for f in fields(index)
+    }
+
+
+def test_index_walk_equals_fresh_build():
+    """A seeded add/remove/re-add walk: after every step each bucket
+    map of the live index equals (contents and order) that of an index
+    built fresh from the remaining apps in ``by_app`` order, and so do
+    the candidates of every signature."""
     rulesets, resolver = build_store()
-    flat_pipeline, flat_reports = _cold_audit(
-        rulesets, resolver, index=RuleIndex()
-    )
-    sharded_pipeline, sharded_reports = _cold_audit(rulesets, resolver)
-    assert _keys(sharded_reports) == _keys(flat_reports)
-    assert (
-        sharded_pipeline.stats.solver_calls
-        == flat_pipeline.stats.solver_calls
-    )
-    assert len(sharded_pipeline.index.environments) > 1
+    builder = SignatureBuilder(resolver)
+    signed = {r.app_name: builder.sign_ruleset(r) for r in rulesets}
+    probes = [sig for sigs in signed.values() for sig in sigs]
+    rng = random.Random(23)
+    index = RuleIndex()
+    removals = 0
+    for _ in range(80):
+        app = rng.choice(list(signed))
+        if app in index.by_app:
+            index.remove_app(app)
+            removals += 1
+        else:
+            index.add_ruleset(signed[app])
+        fresh = RuleIndex()
+        for sigs in index.by_app.values():
+            fresh.add_ruleset(sigs)
+        assert _buckets(index) == _buckets(fresh)
+        for sig in probes:
+            assert [
+                s.rule_id
+                for s in index.candidates(sig, exclude_app=sig.app_name)
+            ] == [
+                s.rule_id
+                for s in fresh.candidates(sig, exclude_app=sig.app_name)
+            ]
+    assert removals > 10
 
 
-def test_sharded_index_finds_cross_environment_identities():
+def test_index_finds_cross_environment_identities():
     """A resolver may alias one device identity across environments
-    (repository analysis with per-tenant homes); direct-state candidate
-    pairs must still be found across shards."""
+    (repository analysis with per-tenant homes); identity buckets span
+    environments, so direct-state candidate pairs are still found."""
 
     @dataclass(slots=True)
     class CrossEnvResolver:
@@ -301,22 +326,17 @@ def h(evt) { sw2.off() }
     ]
     resolver = CrossEnvResolver(envs={"OnApp": "home1", "OffApp": "home2"})
 
-    flat_pipeline, flat_reports = _cold_audit(
-        rulesets, resolver, index=RuleIndex()
-    )
-    sharded_pipeline, sharded_reports = _cold_audit(rulesets, resolver)
-    # The same-actuator AR pair spans two environments; both index
-    # layouts must find it.
-    assert _keys(flat_reports) == _keys(sharded_reports)
+    pipeline, reports = _cold_audit(rulesets, resolver)
+    # The same-actuator AR pair spans two environments.
     assert any(
-        key[0] == "AR" for key in _keys(sharded_reports)
+        key[0] == "AR" for key in _keys(reports)
     ), "expected a cross-environment actuator race"
 
-    # After removing one app the cross-shard identity bookkeeping must
-    # shrink back: no candidates remain for the other app's signature.
-    sharded_pipeline.remove_ruleset("OffApp")
-    sig = sharded_pipeline.installed_signatures()["OnApp"][0]
-    assert sharded_pipeline.index.candidates(sig, exclude_app="OnApp") == []
+    # Removing one app leaves no trace: no candidates remain for the
+    # other app's signature.
+    pipeline.remove_ruleset("OffApp")
+    sig = pipeline.installed_signatures()["OnApp"][0]
+    assert pipeline.index.candidates(sig, exclude_app="OnApp") == []
 
 
 def test_partial_load_reads_one_shard_only(tmp_path):
@@ -347,33 +367,19 @@ def test_partial_load_reads_one_shard_only(tmp_path):
     }
     assert set(shard_rulesets) == expected_apps
     assert set(shard_index.by_app) == expected_apps
-    # The rebuilt-from-payload buckets answer candidates exactly like
-    # the live pipeline's shard.
-    live_shard = pipeline.index.shards[target_env]
+    # The rebuilt index answers candidates exactly like the live
+    # index restricted to the home's apps.
     for app in expected_apps:
         for sig in pipeline.installed_signatures()[app]:
             expected = {
-                s.rule_id for s in live_shard.candidates(sig, exclude_app=app)
+                s.rule_id
+                for s in pipeline.index.candidates(sig, exclude_app=app)
+                if s.app_name in expected_apps
             }
             actual = {
                 s.rule_id for s in shard_index.candidates(sig, exclude_app=app)
             }
             assert actual == expected
-
-
-def test_index_payload_roundtrip_is_lossless():
-    rulesets, resolver = build_store(size=8)
-    pipeline, _ = _cold_audit(rulesets, resolver, index=RuleIndex())
-    index = pipeline.index
-    signatures = {
-        sig.rule_id: sig
-        for sigs in pipeline.installed_signatures().values()
-        for sig in sigs
-    }
-    rebuilt = RuleIndex.from_payload(
-        json.loads(json.dumps(index.to_payload())), signatures
-    )
-    assert rebuilt.to_payload() == index.to_payload()
 
 
 # ----------------------------------------------------------------------
@@ -613,7 +619,7 @@ def test_restore_into_missing_store_audits_cold(tmp_path):
     live pipeline never silently comes up empty."""
     rulesets, resolver = build_store(size=8)
     store = DetectionStore(tmp_path / "nowhere")
-    pipeline = DetectionPipeline(resolver, index=ShardedRuleIndex())
+    pipeline = DetectionPipeline(resolver)
     result = store.restore_into(pipeline, rulesets)
     assert result.cold
     assert sorted(result.stale_apps) == sorted(r.app_name for r in rulesets)

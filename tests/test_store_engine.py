@@ -35,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.corpus import app_by_name
-from repro.detector import DetectionPipeline, DetectionStore, ShardedRuleIndex
+from repro.detector import DetectionPipeline, DetectionStore
 from repro.detector.store import SCHEMA_VERSION
 from repro.detector.storage import (
     DirectoryBackend,
@@ -139,7 +139,7 @@ def drive_commits(
     pipeline, the store, and the canonical state recorded after every
     commit."""
     marker = FrontendMarker()
-    pipeline = DetectionPipeline(resolver, index=ShardedRuleIndex())
+    pipeline = DetectionPipeline(resolver)
     store_cls = FullSaveStore if full_save else DetectionStore
     store = store_cls(path, backend=backend)
     named = {r.app_name: r for r in rulesets}
@@ -693,7 +693,7 @@ def test_warm_start_from_delta_store_zero_solver_calls(tmp_path):
 
 def test_commit_receipts_count_bytes_and_seconds(tmp_path):
     rulesets, resolver = build_store(6)
-    pipeline = DetectionPipeline(resolver, index=ShardedRuleIndex())
+    pipeline = DetectionPipeline(resolver)
     store = DetectionStore(tmp_path / "store")
     named = {r.app_name: r for r in rulesets}
     receipts = []
@@ -716,7 +716,7 @@ def test_journal_size_trigger_compacts(tmp_path):
     rulesets, resolver = build_store(6)
     store = DetectionStore(tmp_path / "store")
     store.journal_max_records = 3
-    pipeline = DetectionPipeline(resolver, index=ShardedRuleIndex())
+    pipeline = DetectionPipeline(resolver)
     named = {r.app_name: r for r in rulesets}
     compactions = 0
     for ruleset in rulesets:
@@ -738,8 +738,10 @@ def test_journal_size_trigger_compacts(tmp_path):
 # Crash recovery: truncated / corrupt journals, interrupted compaction
 
 
+@pytest.mark.slow
 def test_truncated_journal_degrades_to_a_commit_boundary(tmp_path):
-    rulesets, resolver = build_store(8)
+    rulesets, resolver = build_store(9)
+    extra = rulesets.pop()
     _, store, states = drive_commits(
         tmp_path / "store", rulesets, resolver,
         removals=[rulesets[1].app_name],
@@ -747,15 +749,42 @@ def test_truncated_journal_degrades_to_a_commit_boundary(tmp_path):
     journal = store.path / "journal.jsonl"
     pristine = journal.read_bytes()
     acknowledged = set(states)
+    named = {r.app_name: r for r in rulesets + [extra]}
     # Every truncation point — including mid-record tears — must load
-    # to exactly one of the acknowledged commit-boundary states.
+    # to exactly one of the acknowledged commit-boundary states, and a
+    # commit made after the cut must survive a reload.
     for cut in list(range(0, len(pristine), 97)) + [len(pristine) - 1]:
         journal.write_bytes(pristine[:cut])
         state = canonical_state(DetectionStore(store.path))
         assert state is not None
         assert state in acknowledged
+        _assert_commit_after_cut_lands(
+            store.path, tmp_path / "after-cut", resolver, extra, named
+        )
     journal.write_bytes(pristine)
     assert canonical_state(DetectionStore(store.path)) == states[-1]
+
+
+def _assert_commit_after_cut_lands(path, scratch, resolver, extra, named):
+    """On a copy of the (cut) store at ``path``, restore a fresh
+    pipeline, install ``extra`` and commit it through a fresh store: the
+    commit is a journal append, and a reload holds ``extra`` and equals
+    a full save of the same pipeline."""
+    shutil.rmtree(scratch, ignore_errors=True)
+    shutil.copytree(path, scratch / "delta")
+    store = DetectionStore(scratch / "delta")
+    snapshot = store.load()
+    pipeline = DetectionPipeline(resolver)
+    store.restore_into(pipeline, snapshot=snapshot)
+    pipeline.detect(extra)
+    pipeline.commit(extra.app_name, extra)
+    receipt = store.commit_app(pipeline, extra.app_name, rulesets=named)
+    assert not receipt.full
+    reloaded = DetectionStore(scratch / "delta")
+    assert extra.app_name in reloaded.load().apps
+    oracle = FullSaveStore(scratch / "oracle")
+    oracle.save(pipeline, rulesets=named, frontend=snapshot.frontend)
+    assert canonical_state(reloaded) == canonical_state(oracle)
 
 
 def _ops_in(journal_bytes: bytes) -> set[str]:
@@ -1176,6 +1205,14 @@ def test_directory_journal_drops_torn_tail(tmp_path):
     assert backend.read_journal("journal.jsonl") == [
         '{"seq": 0}', '{"seq": 1}',
     ]
+    # A fresh backend (a restarted process) drops the torn tail before
+    # its first append, so the new record gets a line of its own.
+    DirectoryBackend(tmp_path / "b").append_journal(
+        "journal.jsonl", '{"seq": 2}'
+    )
+    assert backend.read_journal("journal.jsonl") == [
+        '{"seq": 0}', '{"seq": 1}', '{"seq": 2}',
+    ]
 
 
 def test_directory_sweep_clears_crashed_temporaries(tmp_path):
@@ -1203,6 +1240,20 @@ def test_make_store_backend_specs(tmp_path):
     assert make_store_backend(named, tmp_path) is named
     with pytest.raises(ValueError):
         make_store_backend("postgres", tmp_path)
+    with pytest.raises(ValueError):
+        make_store_backend(f"dir:{tmp_path / 'elsewhere'}", tmp_path)
+
+
+def test_service_refuses_a_store_setting_every_home_would_share(tmp_path):
+    # A named directory, or a backend instance other than SQLite's
+    # (which namespaces per home), would be one store for every home.
+    for shared in (
+        f"dir:{tmp_path / 'shared'}", DirectoryBackend(tmp_path / "shared")
+    ):
+        with pytest.raises(ValueError):
+            HomeGuardService(
+                workers=None, store_root=tmp_path, store_backend=shared
+            )
 
 
 # ----------------------------------------------------------------------
