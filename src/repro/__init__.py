@@ -45,7 +45,7 @@ from repro.service import (
 )
 from repro.service.home import InstallDecision, InstalledDevice, InstallReview
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "AuditRequest",

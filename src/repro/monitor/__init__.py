@@ -23,7 +23,7 @@ from repro.monitor.rules import (
     default_anomaly_rules,
     threat_key,
 )
-from repro.monitor.windows import RollingBaseline, SlidingWindow
+from repro.monitor.windows import RollingBaseline
 
 __all__ = [
     "MonitorEngine",
@@ -43,6 +43,5 @@ __all__ = [
     "KIND_CONFIRMED",
     "KIND_CONTRADICTED",
     "KIND_ANOMALY",
-    "SlidingWindow",
     "RollingBaseline",
 ]

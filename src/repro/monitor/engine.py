@@ -3,8 +3,15 @@
 A :class:`MonitorEngine` consumes one home's event stream — live from
 the runtime :class:`~repro.runtime.events.EventBus` (via a bus tap),
 from batched fleet ingestion, or from a recorded JSONL trace — runs
-every registered :class:`~repro.monitor.rules.MonitorRule`, and turns
-their findings into deduplicated :class:`Observation`\\ s.
+the registered :class:`~repro.monitor.rules.MonitorRule`\\ s that see
+each event, and turns their findings into deduplicated
+:class:`Observation`\\ s.  Every path goes through
+:meth:`MonitorEngine.ingest_batch`.
+
+Routing: the rules an event reaches depend only on its ``(subject,
+attribute)`` channel, so the engine computes each channel's route once
+and caches it (channel rules first, then the admitting wildcard rules,
+each in registration order); changing the rule set clears the cache.
 
 Time is *event time*: the engine's clock only moves forward
 (``max(seen timestamps)``), with an optional injected monotonic clock
@@ -16,7 +23,11 @@ Exactly-once: every observation has a deterministic key (SHA-256 over
 home, rule, kind, subject, threat key and the rule's dedup context).
 The engine drops keys it has already emitted; callers that persist
 observations (the tenant home's ledger) seed ``seen`` on rebuild, so
-eviction, restarts and replayed batches can never double-count.
+eviction, restarts and replayed batches can never double-count.  A
+finding whose identity (the key's inputs but the home) is known to
+have its key in ``seen`` is dropped before hashing; identities enter
+that memo only once their key is in ``seen``, so it never admits a key
+``seen`` would refuse.
 """
 
 from __future__ import annotations
@@ -30,7 +41,6 @@ from repro.monitor.rules import (
     KIND_ANOMALY,
     KIND_CONFIRMED,
     KIND_CONTRADICTED,
-    Finding,
     MonitorRule,
 )
 from repro.runtime.events import Event, EventBus
@@ -95,10 +105,14 @@ class MonitorEngine:
     ) -> None:
         self.home_id = home_id
         self._clock = clock
-        self._rules: list[MonitorRule] = []
-        self._by_channel: dict[tuple[str, str], list[MonitorRule]] = {}
-        self._wildcard: list[MonitorRule] = []
+        self._rules: list[MonitorRule] = list(rules or ())
+        #: (subject, attribute) -> the rules that see that channel, in
+        #: dispatch order; filled lazily by :meth:`_route`.
+        self._routes: dict[tuple[str, str], tuple[MonitorRule, ...]] = {}
         self._seen: set[str] = set(seen or ())
+        #: (rule, kind, subject, threat key, dedup) identities whose
+        #: observation key is already in ``_seen``.
+        self._known: set[tuple[str, str, str, str, str]] = set()
         self._now = 0.0
         #: Observations produced through a live bus tap, drained by the
         #: owner (``ingest`` returns them directly instead).
@@ -111,8 +125,6 @@ class MonitorEngine:
         self.confirmed = 0
         self.contradicted = 0
         self.anomalies = 0
-        for rule in rules or ():
-            self.add_rule(rule)
 
     # ------------------------------------------------------------------
     # Rule registry
@@ -123,21 +135,33 @@ class MonitorEngine:
 
     def add_rule(self, rule: MonitorRule) -> None:
         self._rules.append(rule)
-        if rule.channels is None:
-            self._wildcard.append(rule)
-        else:
-            for channel in sorted(rule.channels):
-                self._by_channel.setdefault(channel, []).append(rule)
+        self._routes.clear()
 
     def set_rules(self, rules: Iterable[MonitorRule]) -> None:
         """Replace the rule set (recompiled confirmations after a new
         install decision).  Emitted-observation dedup state survives —
         a recompiled threat rule cannot re-confirm a confirmed threat."""
-        self._rules = []
-        self._by_channel = {}
-        self._wildcard = []
-        for rule in rules:
-            self.add_rule(rule)
+        self._rules = list(rules)
+        self._routes.clear()
+
+    def _route(self, channel: tuple[str, str]) -> tuple[MonitorRule, ...]:
+        """The rules one channel's events run through: the rules that
+        name the channel, then the wildcard rules whose ``attributes``
+        admit its attribute, each group in registration order."""
+        attribute = channel[1]
+        route = tuple(
+            [
+                rule for rule in self._rules
+                if rule.channels is not None and channel in rule.channels
+            ]
+            + [
+                rule for rule in self._rules
+                if rule.channels is None
+                and (rule.attributes is None or attribute in rule.attributes)
+            ]
+        )
+        self._routes[channel] = route
+        return route
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -149,79 +173,71 @@ class MonitorEngine:
     def ingest(self, event: Event) -> list[Observation]:
         """Run one event through the rules; returns *new* observations
         (already deduplicated against everything ever emitted)."""
-        now = event.timestamp
-        if self._clock is not None:
-            clocked = self._clock()
-            if clocked > now:
-                now = clocked
-        if now > self._now:
-            self._now = now
-        else:
-            now = self._now
-        self.events_seen += 1
-        emitted: list[Observation] = []
-        channel_rules = self._by_channel.get((event.subject, event.name))
-        if channel_rules:
-            for rule in channel_rules:
-                self._run_rule(rule, event, now, emitted)
-        for rule in self._wildcard:
-            if (
-                rule.attributes is not None
-                and event.name not in rule.attributes
-            ):
-                continue
-            self._run_rule(rule, event, now, emitted)
-        return emitted
-
-    def _run_rule(
-        self,
-        rule: MonitorRule,
-        event: Event,
-        now: float,
-        emitted: list[Observation],
-    ) -> None:
-        for finding in rule.observe(event, now):
-            observation = self._stamp(rule.name, finding, now)
-            if observation is not None:
-                emitted.append(observation)
-
-    def _stamp(
-        self, rule_name: str, finding: Finding, now: float
-    ) -> Observation | None:
-        key = observation_key(
-            self.home_id,
-            rule_name,
-            finding.kind,
-            finding.subject,
-            finding.threat_key,
-            finding.dedup,
-        )
-        if key in self._seen:
-            return None
-        self._seen.add(key)
-        self.observations += 1
-        if finding.kind == KIND_CONFIRMED:
-            self.confirmed += 1
-        elif finding.kind == KIND_CONTRADICTED:
-            self.contradicted += 1
-        elif finding.kind == KIND_ANOMALY:
-            self.anomalies += 1
-        return Observation(
-            key=key,
-            home_id=self.home_id,
-            rule=rule_name,
-            kind=finding.kind,
-            subject=finding.subject,
-            threat_key=finding.threat_key,
-            detail=finding.detail,
-            timestamp=now,
-            window_seconds=finding.window_seconds,
-        )
+        return self.ingest_batch((event,))
 
     def ingest_batch(self, events: Iterable[Event]) -> list[Observation]:
+        """Run events through the rules in order; returns the *new*
+        observations (already deduplicated against everything ever
+        emitted)."""
         emitted: list[Observation] = []
+        clock = self._clock
+        routes = self._routes
+        known = self._known
+        seen = self._seen
+        home_id = self.home_id
         for event in events:
-            emitted.extend(self.ingest(event))
+            now = event.timestamp
+            if clock is not None:
+                clocked = clock()
+                if clocked > now:
+                    now = clocked
+            if now > self._now:
+                self._now = now
+            else:
+                now = self._now
+            self.events_seen += 1
+            channel = (event.subject, event.name)
+            route = routes.get(channel)
+            if route is None:
+                route = self._route(channel)
+            for rule in route:
+                findings = rule.observe(event, now)
+                if not findings:
+                    continue
+                rule_name = rule.name
+                for finding in findings:
+                    kind = finding.kind
+                    identity = (
+                        rule_name, kind, finding.subject,
+                        finding.threat_key, finding.dedup,
+                    )
+                    if identity in known:
+                        continue
+                    known.add(identity)
+                    key = observation_key(home_id, *identity)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    self.observations += 1
+                    if kind == KIND_CONFIRMED:
+                        self.confirmed += 1
+                    elif kind == KIND_CONTRADICTED:
+                        self.contradicted += 1
+                    elif kind == KIND_ANOMALY:
+                        self.anomalies += 1
+                    emitted.append(
+                        Observation(
+                            key=key,
+                            home_id=home_id,
+                            rule=rule_name,
+                            kind=kind,
+                            subject=finding.subject,
+                            threat_key=finding.threat_key,
+                            detail=finding.detail,
+                            timestamp=now,
+                            window_seconds=finding.window_seconds,
+                        )
+                    )
         return emitted
 
     def replay_jsonl(self, lines: Iterable[str]) -> list[Observation]:
@@ -229,23 +245,22 @@ class MonitorEngine:
         per line (``subject``, ``attribute`` or ``name``, ``value``,
         ``timestamp``).  Unparseable lines are skipped — a truncated
         trace degrades to the events before the tear."""
-        emitted: list[Observation] = []
+        events: list[Event] = []
         for line in lines:
             line = line.strip()
             if not line:
                 continue
             try:
                 data = json.loads(line)
-                event = Event(
+                events.append(Event(
                     subject=str(data["subject"]),
                     name=str(data.get("attribute", data.get("name"))),
                     value=data.get("value"),
                     timestamp=float(data.get("timestamp", 0.0)),
-                )
+                ))
             except (ValueError, TypeError, KeyError):
                 continue
-            emitted.extend(self.ingest(event))
-        return emitted
+        return self.ingest_batch(events)
 
     # ------------------------------------------------------------------
     # Live attachment

@@ -23,11 +23,13 @@ Two families ship:
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 
 from repro.capabilities.registry import find_command
 from repro.detector.types import Threat, ThreatType
-from repro.monitor.windows import RollingBaseline, SlidingWindow
+from repro.monitor.windows import RollingBaseline
 from repro.runtime.events import Event
 
 #: Observation kinds, part of the wire vocabulary (schemas.py).
@@ -79,10 +81,11 @@ class MonitorRule:
     """One windowed check over a home's event stream.
 
     ``channels`` narrows dispatch to exact ``(subject, attribute)``
-    pairs (the engine indexes on them); ``None`` means the rule sees
-    every event, optionally pre-filtered by ``attributes``.  State is
-    transient — windows do not survive process restarts; only the
-    emitted observations do (they persist in the home's ledger).
+    pairs; ``None`` means the rule sees every event, optionally
+    pre-filtered by ``attributes``.  The engine reads both when it
+    routes a channel, so they are fixed once the rule is registered.
+    State is transient — windows do not survive process restarts; only
+    the emitted observations do (they persist in the home's ledger).
     """
 
     name = "abstract"
@@ -135,42 +138,62 @@ class ConfirmationRule(MonitorRule):
             for step in steps
             for subject, attribute, _value in step
         )
+        # channel -> ((step, ordered, accepted values), ...) in step
+        # order: the steps an event on that channel can stamp, whether
+        # the step waits for the one before it, and the values it
+        # accepts (None: any value).
+        by_channel: dict[tuple[str, str], dict[int, frozenset | None]] = {}
+        for index, step in enumerate(steps):
+            for subject, attribute, value in step:
+                per_step = by_channel.setdefault((subject, attribute), {})
+                values = per_step.get(index, frozenset())
+                per_step[index] = (
+                    None if value is None or values is None
+                    else values | {value}
+                )
+        self._matchers = {
+            channel: tuple(
+                (index, ordered and index > 0, values)
+                for index, values in per_step.items()
+            )
+            for channel, per_step in by_channel.items()
+        }
+        self._subject = steps[-1][0][0]
         self._stamps: list[float | None] = [None] * len(steps)
 
     def observe(self, event: Event, now: float) -> list[Finding]:
-        stamps = self._stamps
-        for index, step in enumerate(self.steps):
-            for subject, attribute, value in step:
-                if subject != event.subject or attribute != event.name:
-                    continue
-                if value is not None and str(event.value) != value:
-                    continue
-                if self.ordered and index > 0:
-                    previous = stamps[index - 1]
-                    if previous is None or now < previous:
-                        break
-                stamps[index] = now
-                break
-        if any(stamp is None for stamp in stamps):
+        matchers = self._matchers.get((event.subject, event.name))
+        if matchers is None:
             return []
-        first = min(s for s in stamps if s is not None)
-        last = max(s for s in stamps if s is not None)
-        if last - first > self.window:
+        stamps = self._stamps
+        text = None
+        for index, waits, accepted in matchers:
+            if accepted is not None:
+                if text is None:
+                    text = str(event.value)
+                if text not in accepted:
+                    continue
+            if waits:
+                previous = stamps[index - 1]
+                if previous is None or now < previous:
+                    continue
+            stamps[index] = now
+        if None in stamps:
+            return []
+        if max(stamps) - min(stamps) > self.window:
             # Too spread out: keep the freshest stamps and wait.
             if self.ordered:
                 self._stamps = [None] * len(self.steps)
             else:
                 self._stamps = [
-                    s if s is not None and now - s <= self.window else None
-                    for s in stamps
+                    s if now - s <= self.window else None for s in stamps
                 ]
             return []
         self._stamps = [None] * len(self.steps)
-        subject = self.steps[-1][0][0]
         return [
             Finding(
                 kind=self.kind,
-                subject=subject,
+                subject=self._subject,
                 detail=self.detail,
                 threat_key=self.threat_key,
                 window_seconds=self.window,
@@ -269,17 +292,21 @@ class ToggleSpamRule(MonitorRule):
     def __init__(self, window: float = 30.0, threshold: int = 10) -> None:
         self.window = float(window)
         self.threshold = int(threshold)
-        self._windows: dict[str, SlidingWindow] = {}
+        #: subject -> event times of its switch events inside the window.
+        self._windows: dict[str, deque[float]] = {}
 
     def observe(self, event: Event, now: float) -> list[Finding]:
-        window = self._windows.get(event.subject)
-        if window is None:
-            window = self._windows[event.subject] = SlidingWindow(self.window)
-        window.push(now, event.value)
-        if len(window) <= self.threshold:
+        times = self._windows.get(event.subject)
+        if times is None:
+            times = self._windows[event.subject] = deque()
+        times.append(now)
+        horizon = now - self.window
+        while times and times[0] <= horizon:
+            times.popleft()
+        if len(times) <= self.threshold:
             return []
-        count = len(window)
-        window.clear()
+        count = len(times)
+        times.clear()
         return [
             Finding(
                 kind=KIND_ANOMALY,
@@ -294,7 +321,9 @@ class ToggleSpamRule(MonitorRule):
 class PowerAnomalyRule(MonitorRule):
     """Power readings that are non-positive or far above the device's
     rolling baseline (default: > 1.5x the mean of the last 32 good
-    samples, once at least ``min_samples`` exist)."""
+    samples, once at least ``min_samples`` exist).  A reading that is
+    not a finite number (unparseable, NaN or infinite) is ignored: no
+    finding, and it never enters the baseline."""
 
     name = "power-anomaly"
     attributes = frozenset({"power"})
@@ -317,47 +346,45 @@ class PowerAnomalyRule(MonitorRule):
             value = float(event.value)  # type: ignore[arg-type]
         except (TypeError, ValueError):
             return []
+        if not math.isfinite(value):
+            return []
         baseline = self._baselines.get(event.subject)
         if baseline is None:
             baseline = self._baselines[event.subject] = RollingBaseline(
                 self.baseline_size
             )
-        findings: list[Finding] = []
-        dedup = f"b{int(now // max(self.bucket, 1.0))}"
         if value <= 0:
-            findings.append(
-                Finding(
-                    kind=KIND_ANOMALY,
-                    subject=event.subject,
-                    detail=f"non-positive power reading {value:g}W",
-                    window_seconds=self.bucket,
-                    dedup=dedup,
-                )
+            detail = f"non-positive power reading {value:g}W"
+        else:
+            mean = baseline.mean()
+            spike = (
+                baseline.count >= self.min_samples
+                and value > self.factor * mean
             )
-        elif (
-            baseline.count >= self.min_samples
-            and value > self.factor * baseline.mean()
-        ):
-            findings.append(
-                Finding(
-                    kind=KIND_ANOMALY,
-                    subject=event.subject,
-                    detail=(
-                        f"power {value:g}W exceeds {self.factor:g}x "
-                        f"rolling mean {baseline.mean():.1f}W"
-                    ),
-                    window_seconds=self.bucket,
-                    dedup=dedup,
-                )
-            )
-        if value > 0:
             baseline.push(value)
-        return findings
+            if not spike:
+                return []
+            detail = (
+                f"power {value:g}W exceeds {self.factor:g}x "
+                f"rolling mean {mean:.1f}W"
+            )
+        return [
+            Finding(
+                kind=KIND_ANOMALY,
+                subject=event.subject,
+                detail=detail,
+                window_seconds=self.bucket,
+                dedup=f"b{int(now // max(self.bucket, 1.0))}",
+            )
+        ]
 
 
 class OffHoursRule(MonitorRule):
     """Actuation outside the home's active hours (default 8AM-6PM of
-    the event-time day).  One observation per device per day."""
+    the event-time day).  One observation per device per day: the rule
+    remembers the last day it reported for each device and stays quiet
+    for the rest of that day.  A rule instance serves one engine (the
+    engine's clock never goes backwards)."""
 
     name = "off-hours"
     attributes = frozenset({"switch", "lock", "door", "alarm"})
@@ -372,11 +399,17 @@ class OffHoursRule(MonitorRule):
         self.end = float(end)
         if attributes is not None:
             self.attributes = frozenset(attributes)
+        #: subject -> the last event-time day it was reported on.
+        self._reported: dict[str, int] = {}
 
     def observe(self, event: Event, now: float) -> list[Finding]:
         time_of_day = now % 86400.0
         if self.start <= time_of_day < self.end:
             return []
+        day = int(now // 86400.0)
+        if self._reported.get(event.subject) == day:
+            return []
+        self._reported[event.subject] = day
         return [
             Finding(
                 kind=KIND_ANOMALY,
@@ -387,7 +420,7 @@ class OffHoursRule(MonitorRule):
                     f"{self.start / 3600.0:g}-{self.end / 3600.0:g}h)"
                 ),
                 window_seconds=self.end - self.start,
-                dedup=f"d{int(now // 86400.0)}",
+                dedup=f"d{day}",
             )
         ]
 
@@ -403,46 +436,48 @@ class CommandLoopRule(MonitorRule):
     def __init__(self, window: float = 60.0, min_cycle: int = 3) -> None:
         self.window = float(window)
         self.min_cycle = int(min_cycle)
-        self._trail = SlidingWindow(window)
+        #: (event time, channel) of the events inside the window.
+        self._trail: deque[tuple[float, tuple[str, str]]] = deque()
 
     def observe(self, event: Event, now: float) -> list[Finding]:
         channel = (event.subject, event.name)
-        self._trail.prune(now)
-        items = self._trail.items()
-        finding: list[Finding] = []
-        last_index = -1
-        for index in range(len(items) - 1, -1, -1):
-            if items[index][1] == channel:
-                last_index = index
+        trail = self._trail
+        horizon = now - self.window
+        while trail and trail[0][0] <= horizon:
+            trail.popleft()
+        # The channels after this one's last visit, newest first.
+        since: list[tuple[str, str]] = []
+        for _ts, other in reversed(trail):
+            if other == channel:
                 break
-        if last_index >= 0:
-            between: list[tuple[str, str]] = []
-            for _ts, other in items[last_index + 1:]:
-                if other != channel and other not in between:
-                    between.append(other)
-            if len(between) >= self.min_cycle - 1:
-                path = " -> ".join(
+            since.append(other)
+        else:
+            trail.append((now, channel))
+            return []
+        between = list(dict.fromkeys(reversed(since)))
+        finding: list[Finding] = []
+        if len(between) >= self.min_cycle - 1:
+            path = " -> ".join(
+                f"{subject}.{attribute}"
+                for subject, attribute in (channel, *between, channel)
+            )
+            cycle_id = "|".join(
+                sorted(
                     f"{subject}.{attribute}"
-                    for subject, attribute in
-                    (channel, *between, channel)
+                    for subject, attribute in {channel, *between}
                 )
-                cycle_id = "|".join(
-                    sorted(
-                        f"{subject}.{attribute}"
-                        for subject, attribute in {channel, *between}
-                    )
+            )
+            finding = [
+                Finding(
+                    kind=KIND_ANOMALY,
+                    subject=event.subject,
+                    detail=f"command loop {path} in {self.window:g}s",
+                    window_seconds=self.window,
+                    dedup=cycle_id,
                 )
-                finding = [
-                    Finding(
-                        kind=KIND_ANOMALY,
-                        subject=event.subject,
-                        detail=f"command loop {path} in {self.window:g}s",
-                        window_seconds=self.window,
-                        dedup=cycle_id,
-                    )
-                ]
-                self._trail.clear()
-        self._trail.push(now, channel)
+            ]
+            trail.clear()
+        trail.append((now, channel))
         return finding
 
 

@@ -1,52 +1,15 @@
-"""Sliding time windows and rolling baselines for the runtime monitor.
+"""Rolling baselines for the runtime monitor.
 
 The monitor's rules (DESIGN.md §16) are all windowed computations over
 an *event-time* axis: timestamps come from the event stream itself (or
 an injected clock), never from ``time.time()``, so offline replay of a
 recorded trace produces byte-identical observations to the live run.
+The time windows are plain deques inside the rules that keep them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-
-
-class SlidingWindow:
-    """A bounded window of ``(timestamp, item)`` pairs.
-
-    ``push`` appends and prunes; an item stays visible while
-    ``now - timestamp < span``.  Timestamps are expected to be
-    monotonically non-decreasing (the engine enforces that), so
-    pruning pops from the left only.
-    """
-
-    __slots__ = ("span", "_items")
-
-    def __init__(self, span: float) -> None:
-        self.span = float(span)
-        self._items: deque[tuple[float, object]] = deque()
-
-    def push(self, timestamp: float, item: object) -> None:
-        self._items.append((timestamp, item))
-        self.prune(timestamp)
-
-    def prune(self, now: float) -> None:
-        horizon = now - self.span
-        items = self._items
-        while items and items[0][0] <= horizon:
-            items.popleft()
-
-    def clear(self) -> None:
-        self._items.clear()
-
-    def items(self) -> list[tuple[float, object]]:
-        return list(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        return iter(self._items)
 
 
 class RollingBaseline:

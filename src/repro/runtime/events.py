@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Event:
     """A state-change event as delivered to SmartApp handlers.
 
@@ -14,6 +14,10 @@ class Event:
     attribute that changed.  ``is_state_change`` is False for repeated
     reports of an unchanged value (SmartThings delivers those only to
     subscribers that asked for them; we do not deliver them at all).
+
+    Not frozen, and so not hashable: the monitor builds one per
+    ingested event and a frozen constructor costs about three times as
+    much.  Nothing mutates an event after publishing it.
     """
 
     subject: str

@@ -521,10 +521,7 @@ class MonitorEventRequest(WireModel):
         from repro.runtime.events import Event
 
         return [
-            Event(
-                subject=subject, name=attribute, value=value,
-                timestamp=timestamp,
-            )
+            Event(subject, attribute, value, timestamp)
             for subject, attribute, value, timestamp in self.events
         ]
 

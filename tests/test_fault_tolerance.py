@@ -486,7 +486,8 @@ def test_shared_cache_io_errors_degrade_to_resolves(tmp_path):
             [
                 FaultSpec("cache.get", kind="io-error", every=2),
                 FaultSpec("cache.put", kind="io-error", every=2),
-            ]
+            ],
+            log_path=_event_log(tmp_path, "cache-chaos"),
         ) as plan, warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             outcome = _audit(
@@ -497,6 +498,8 @@ def test_shared_cache_io_errors_degrade_to_resolves(tmp_path):
         assert outcome["threats"] == reference["threats"]
         assert outcome["caches"] == reference["caches"]
         assert outcome["store"] == reference["store"]
+        # A failed cache call falls through to the solver at once.
+        assert _recovery_seconds(plan, outcome) < 2.0
     finally:
         cache.close()
 
@@ -642,11 +645,17 @@ def test_client_retry_recovers_when_server_appears():
             retry=RetryPolicy(attempts=3, base_delay=0.0, jitter=0.0),
         )
 
+        failures = []
+
         def failover(_delay):
+            failures.append(time.monotonic())
             client.port = background.port
 
         client._sleep = failover
         assert client.status().state == "serving"
+        # One failed attempt, and the retry is served promptly.
+        assert len(failures) == 1
+        assert time.monotonic() - failures[0] < 2.0
 
 
 def test_server_sheds_requests_past_deadline():

@@ -1,6 +1,6 @@
 """Runtime interference monitor (DESIGN.md §16).
 
-Covers the window/baseline primitives, the shipped rule catalog
+Covers the rolling baseline, the shipped rule catalog
 (threat-confirmation compilation plus the anomaly rules), the engine's
 event-time clock and exactly-once dedup, trace replay vs. live-bus
 equivalence, the evidence feedback loop into handling policies, and
@@ -31,7 +31,6 @@ from repro.monitor import (
     OffHoursRule,
     PowerAnomalyRule,
     RollingBaseline,
-    SlidingWindow,
     ToggleSpamRule,
     compile_confirmations,
     default_anomaly_rules,
@@ -63,17 +62,7 @@ def ev(subject, name, value, ts):
 
 
 # ----------------------------------------------------------------------
-# Window primitives
-
-
-def test_sliding_window_prunes_by_span():
-    window = SlidingWindow(10.0)
-    window.push(0.0, "a")
-    window.push(5.0, "b")
-    window.push(12.0, "c")
-    assert [item for _ts, item in window.items()] == ["b", "c"]
-    window.prune(30.0)
-    assert len(window) == 0
+# Baseline primitive
 
 
 def test_rolling_baseline_bounded_mean():
@@ -191,17 +180,47 @@ def test_power_anomaly_baseline_and_nonpositive():
     assert len(dead) == 1 and "non-positive" in dead[0].detail
 
 
+def test_power_anomaly_ignores_non_finite_readings():
+    # Wire values reach the rule as strings, and float() accepts
+    # "inf" and "nan".  Such a reading must neither be flagged nor
+    # enter the baseline: an infinite sample used to turn the rolling
+    # mean into NaN once it left the window, silencing the device.
+    rule = PowerAnomalyRule()
+    clock = iter(range(100))
+
+    def feed(value):
+        at = NOON + next(clock)
+        return rule.observe(ev("p1", "power", value, at), at)
+
+    for _ in range(10):
+        assert feed(100.0) == []
+    for value in ("inf", "-inf", "nan", float("inf")):
+        assert feed(value) == []
+    for _ in range(32):
+        assert feed(100.0) == []
+    spike = feed(900.0)
+    assert len(spike) == 1 and "exceeds" in spike[0].detail
+    assert "rolling mean 100.0W" in spike[0].detail
+    assert len(feed(5000.0)) == 1
+
+
 def test_off_hours_rule_one_finding_per_day():
     rule = OffHoursRule()
     assert rule.observe(ev("lock1", "lock", "unlocked", NOON), NOON) == []
     night = 3 * 3600.0
     first = rule.observe(ev("lock1", "lock", "unlocked", night), night)
     assert len(first) == 1 and first[0].dedup == "d0"
+    # The rest of that day stays quiet for the device, not for others.
+    later = night + 600.0
+    assert rule.observe(ev("lock1", "lock", "locked", later), later) == []
+    other = rule.observe(ev("door1", "door", "open", later), later)
+    assert len(other) == 1 and other[0].dedup == "d0"
     next_night = 86400.0 + night
     second = rule.observe(
         ev("lock1", "lock", "unlocked", next_night), next_night
     )
-    assert second[0].dedup == "d1"
+    assert len(second) == 1 and second[0].dedup == "d1"
+    assert second[0].detail.startswith("lock=unlocked at 3.0h")
 
 
 def test_command_loop_detects_cycle():
@@ -285,6 +304,68 @@ def test_set_rules_preserves_dedup_state():
     assert engine.ingest(ev("lock1", "lock", "unlocked", 3600.0))
     engine.set_rules([OffHoursRule()])  # recompiled after an install
     assert engine.ingest(ev("lock1", "lock", "unlocked", 3700.0)) == []
+
+
+def test_rule_changes_reroute_later_events():
+    # The engine caches each channel's route; add_rule and set_rules
+    # must drop it, so later events reach exactly the new rule set.
+    engine = MonitorEngine("h1", [OffHoursRule()])
+    night = 3 * 3600.0
+    assert engine.ingest(ev("sw1", "switch", "on", night))
+    engine.add_rule(ToggleSpamRule(window=30.0, threshold=2))
+    found = []
+    for i in range(1, 4):
+        found += engine.ingest(ev("sw1", "switch", "on", night + i))
+    assert [o.rule for o in found] == ["toggle-spam"]
+    race = ConfirmationRule(
+        "AR:A/R1->B/R1",
+        ((("sw1", "switch", "on"),), (("sw1", "switch", "off"),)),
+        ordered=False,
+    )
+    engine.set_rules([race])
+    found = []
+    for i, value in enumerate(("on", "off", "on", "off")):
+        found += engine.ingest(ev("sw1", "switch", value, night + 10 + i))
+    # Off-hours and toggle spam are gone; only the race sees the
+    # channel, and it confirms once (the second completion dedups).
+    assert [o.rule for o in found] == ["confirm:AR:A/R1->B/R1"]
+    assert engine.counters()["events_seen"] == 8
+
+
+def test_ingest_equals_a_one_event_batch():
+    events = _seeded_stream("window-1", "tv-1", count=600, seed=9)
+    single = MonitorEngine("h1", default_anomaly_rules())
+    batched = MonitorEngine("h1", default_anomaly_rules())
+    for event in events:
+        assert [o.to_json() for o in single.ingest(event)] == [
+            o.to_json() for o in batched.ingest_batch([event])
+        ]
+    assert single.counters() == batched.counters()
+    assert single.counters()["observations"] > 0
+    assert single.now() == batched.now()
+
+
+def test_identity_memo_never_emits_a_seeded_key():
+    # Keys from a persisted ledger seed the rebuilt engine.  The
+    # identity memo skips hashing only for identities whose key is
+    # already seen, so no seeded key is emitted again, not even after
+    # a rule recompile.
+    events = _seeded_stream("window-1", "tv-1", count=800, seed=4)
+    first = MonitorEngine("h1", default_anomaly_rules())
+    emitted = first.ingest_batch(events[:400])
+    seeded = {o.key for o in emitted}
+    assert len(seeded) > 5
+    rebuilt = MonitorEngine("h1", default_anomaly_rules(), seen=seeded)
+    again = rebuilt.ingest_batch(events[:200])
+    rebuilt.set_rules(default_anomaly_rules())
+    again += rebuilt.ingest_batch(events[200:])
+    assert not seeded & {o.key for o in again}
+    # The rest of the stream still yields what one engine yields.
+    first.ingest_batch(events[400:])
+    whole = MonitorEngine("h1", default_anomaly_rules())
+    expected = [o.key for o in whole.ingest_batch(events)]
+    assert sorted(seeded | {o.key for o in again}) == sorted(expected)
+    assert first.counters()["observations"] == len(expected)
 
 
 # ----------------------------------------------------------------------
