@@ -25,9 +25,10 @@ on the *content* of the constraint instance instead:
   in-process :class:`InProcessLRUCache` and a concurrency-safe
   :class:`SQLiteSolveCache` (WAL mode; multiple fleet-controller
   processes can share one cache file).  A corrupted SQLite file
-  *degrades* — a warning plus cache misses, mirroring the
-  ``DetectionStore`` corrupt-store behavior — and is never served
-  stale or deleted.
+  *degrades* — a warning plus cache misses — and is never served
+  stale or deleted; the degrade rules live in
+  :class:`~repro.resilience.GuardedSQLite`, shared with the SQLite
+  store backend.
 
 Privacy stance: entries are keyed by fingerprints and store only the
 verdict (sat bit, decision count, canonical witness values).  No rule
@@ -39,16 +40,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sqlite3
 import threading
-import warnings
 from collections import OrderedDict
 from pathlib import Path
 
 from repro.constraints.solver import Result, VarPool
 from repro.constraints.terms import AffineTerm, BoolFormula, CmpAtom, FreeAtom
-from repro.resilience import CircuitBreaker
-from repro.testing.faults import fault_hook
+from repro.resilience import CircuitBreaker, GuardedSQLite
 
 # Bump when the canonical serialization or entry format changes: old
 # keys simply stop matching, so stale-format entries are never decoded.
@@ -292,26 +290,21 @@ class SQLiteSolveCache(SolveCacheBackend):
     controllers.
 
     WAL journaling plus a busy timeout let multiple processes read and
-    publish against one cache file without serializing on each other;
-    within a process a lock makes the connection thread-safe.  Layout
-    is a single ``entries(key TEXT PRIMARY KEY, value TEXT)`` table —
-    ``INSERT OR IGNORE`` gives first-write-wins publishes and an exact
-    newly-stored signal.
+    publish against one cache file without serializing on each other.
+    Layout is a single ``entries(key TEXT PRIMARY KEY, value TEXT)``
+    table — ``INSERT OR IGNORE`` gives first-write-wins publishes and
+    an exact newly-stored signal.
 
-    A corrupt or unreadable file (truncated, garbage, wrong format)
-    disables the backend with a :class:`RuntimeWarning`: every get
-    misses, every put reports not-stored, detection re-solves.  The
-    file is never deleted — diagnosis stays possible and a concurrent
-    healthy process is never sabotaged.
-
-    *Transient* failures — ``sqlite3.OperationalError``: a locked
-    database, a momentarily unwritable disk — do **not** disable the
-    backend.  They feed a :class:`~repro.resilience.CircuitBreaker`
-    (DESIGN.md §15): each failure is one miss, repeated failures open
-    the breaker so detection stops hammering a sick disk, and after the
-    cooldown a probe call quietly restores service.  Either way the
-    contract holds: a failure can only cost a re-solve, never change a
-    verdict."""
+    Every call is one statement through
+    :class:`~repro.resilience.GuardedSQLite`, the guard the SQLite
+    store backend uses too (DESIGN.md §15.3).  A corrupt or unreadable
+    file disables the cache with a :class:`RuntimeWarning`: every get
+    misses, every put reports not-stored, detection re-solves.  A
+    transient SQLite ``OperationalError`` (a locked database, a
+    momentarily unwritable disk) is one miss and a strike on the
+    ``"solve-cache"`` circuit breaker; after the cooldown a probe call
+    quietly restores service.  Either way a failure can only cost a
+    re-solve, never change a verdict."""
 
     def __init__(
         self,
@@ -319,153 +312,62 @@ class SQLiteSolveCache(SolveCacheBackend):
         breaker: CircuitBreaker | None = None,
     ) -> None:
         self.path = Path(path)
-        self.breaker = breaker or CircuitBreaker(
-            failure_threshold=3, cooldown_seconds=5.0, name="solve-cache"
-        )
-        self._lock = threading.Lock()
-        self._conn: sqlite3.Connection | None = None
-        try:
-            conn = sqlite3.connect(
-                str(self.path),
-                check_same_thread=False,
-                isolation_level=None,  # autocommit: puts land immediately
-            )
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA busy_timeout=5000")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(
+        self.breaker = breaker or CircuitBreaker(name="solve-cache")
+        self._db = GuardedSQLite(
+            self.path,
+            (
                 "CREATE TABLE IF NOT EXISTS entries ("
-                "key TEXT PRIMARY KEY, value TEXT NOT NULL)"
-            )
-            self._conn = conn
-        except sqlite3.Error as exc:
-            self._disable(exc)
-
-    def _disable(self, exc: Exception) -> None:
-        warnings.warn(
-            f"shared solve cache {self.path} is unusable ({exc}); "
-            "degrading to re-solving (results are unaffected)",
-            RuntimeWarning,
-            stacklevel=3,
+                "key TEXT PRIMARY KEY, value TEXT NOT NULL)",
+            ),
+            synchronous="NORMAL",
+            what="shared solve cache",
+            fallback="degrading to re-solving (results are unaffected)",
+            breaker=self.breaker,
         )
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except sqlite3.Error:
-                pass
-        self._conn = None
-
-    def _transient(self, exc: Exception) -> None:
-        """One transient failure: a breaker strike, not a disable."""
-        before = self.breaker.times_opened
-        self.breaker.record_failure()
-        if self.breaker.times_opened > before:
-            warnings.warn(
-                f"shared solve cache {self.path} hit repeated transient "
-                f"errors ({exc}); circuit breaker open for "
-                f"{self.breaker.cooldown_seconds:.1f}s — degrading to "
-                "re-solving (results are unaffected)",
-                RuntimeWarning,
-                stacklevel=4,
-            )
 
     @property
     def breaker_state(self) -> str:
         """"disabled" (permanent), else the breaker's current state."""
-        if self._conn is None:
-            return "disabled"
-        return self.breaker.state
+        return self._db.breaker_state
 
     def __len__(self) -> int:
-        with self._lock:
-            if self._conn is None or not self.breaker.allow():
-                return 0
-            try:
-                row = self._conn.execute(
-                    "SELECT COUNT(*) FROM entries"
-                ).fetchone()
-            except sqlite3.OperationalError as exc:
-                self._transient(exc)
-                return 0
-            except sqlite3.Error as exc:
-                self._disable(exc)
-                return 0
-            self.breaker.record_success()
-            return int(row[0])
+        rows = self._db.query("SELECT COUNT(*) FROM entries")
+        return int(rows[0][0]) if rows else 0
 
     def get(self, key: str) -> dict | None:
-        with self._lock:
-            if self._conn is None or not self.breaker.allow():
-                return None
-            try:
-                fault_hook("cache.get", key=key)
-                row = self._conn.execute(
-                    "SELECT value FROM entries WHERE key = ?", (key,)
-                ).fetchone()
-            except sqlite3.OperationalError as exc:
-                self._transient(exc)
-                return None
-            except sqlite3.Error as exc:
-                self._disable(exc)
-                return None
-            self.breaker.record_success()
-        if row is None:
+        rows = self._db.query(
+            "SELECT value FROM entries WHERE key = ?", (key,),
+            fault_point="cache.get", key=key,
+        )
+        if not rows:
             return None
         try:
-            entry = json.loads(row[0])
+            entry = json.loads(rows[0][0])
         except (TypeError, ValueError):
             return None  # one bad row degrades to one miss
         return entry if isinstance(entry, dict) else None
 
     def put(self, key: str, entry: dict) -> bool:
-        value = json.dumps(entry, sort_keys=True)
-        with self._lock:
-            if self._conn is None or not self.breaker.allow():
-                return False
-            try:
-                fault_hook("cache.put", key=key)
-                cursor = self._conn.execute(
-                    "INSERT OR IGNORE INTO entries (key, value) "
-                    "VALUES (?, ?)",
-                    (key, value),
-                )
-            except sqlite3.OperationalError as exc:
-                self._transient(exc)
-                return False
-            except sqlite3.Error as exc:
-                self._disable(exc)
-                return False
-            self.breaker.record_success()
-            return cursor.rowcount > 0
+        count = self._db.execute(
+            "INSERT OR IGNORE INTO entries (key, value) VALUES (?, ?)",
+            (key, json.dumps(entry, sort_keys=True)),
+            fault_point="cache.put", key=key,
+        )
+        return (count or 0) > 0
 
     def flush(self) -> None:
-        with self._lock:
-            if self._conn is None or not self.breaker.allow():
-                return
-            try:
-                self._conn.execute("PRAGMA wal_checkpoint(PASSIVE)")
-            except sqlite3.OperationalError as exc:
-                self._transient(exc)
-            except sqlite3.Error as exc:
-                self._disable(exc)
+        self._db.checkpoint()
 
     def close(self) -> None:
-        with self._lock:
-            if self._conn is None:
-                return
-            try:
-                self._conn.close()
-            except sqlite3.Error:
-                pass
-            self._conn = None
+        self._db.close()
 
     def encode(self) -> object | None:
-        if self._conn is None:
+        if self.breaker_state == "disabled":
             return None
         return ("sqlite", str(self.path))
 
     def __repr__(self) -> str:
-        state = "disabled" if self._conn is None else "open"
+        state = "disabled" if self.breaker_state == "disabled" else "open"
         return f"SQLiteSolveCache({str(self.path)!r}, {state})"
 
 

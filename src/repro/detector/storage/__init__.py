@@ -17,6 +17,7 @@ from pathlib import Path
 from repro.detector.storage.backend import (
     DirectoryBackend,
     StoreBackend,
+    StoreReadError,
     StoreWriteError,
 )
 from repro.detector.storage.sqlite import SQLiteStoreBackend
@@ -67,6 +68,7 @@ __all__ = [
     "SQLITE_STORE_FILE",
     "SQLiteStoreBackend",
     "StoreBackend",
+    "StoreReadError",
     "StoreWriteError",
     "make_store_backend",
 ]

@@ -22,9 +22,11 @@ Durability/consistency contract every backend must honour:
   the *tail* of the journal but never corrupt acknowledged records;
 * ``read_journal`` returns a **consistent prefix**: only complete
   records, in append order — a torn tail is silently dropped;
-* read failures degrade (``None`` / empty), they never raise on the
-  detection path — mirroring the corrupt-store behavior of
-  :mod:`repro.constraints.solvecache`.
+* a document or journal the backend cannot read right now raises
+  :class:`StoreReadError` — never a partial answer that looks like a
+  missing document or an empty journal; :meth:`DetectionStore.load
+  <repro.detector.store.DetectionStore.load>` turns it into a cold
+  load, and a commit fails with it like a :class:`StoreWriteError`.
 """
 
 from __future__ import annotations
@@ -42,11 +44,25 @@ class StoreWriteError(OSError):
     change queued for the next commit."""
 
 
+# What a read of an absent document or journal raises (a store path
+# that was never created, or whose parent is not a directory).
+_MISSING = (FileNotFoundError, NotADirectoryError)
+
+
+class StoreReadError(OSError):
+    """A backend could not read a document or journal — degraded — so
+    it has no answer to give: neither the text nor "absent".  The
+    store loads cold instead of replaying part of its state, and a
+    commit that needs the durable state fails, leaving its change
+    queued."""
+
+
 class StoreBackend:
     """Protocol base class for detection-store storage backends."""
 
     def read_doc(self, key: str) -> str | None:
-        """The document's text, or ``None`` when absent/unreadable."""
+        """The document's text, or ``None`` when absent (raises
+        :class:`StoreReadError` when the backend cannot read)."""
         raise NotImplementedError
 
     def write_doc(self, key: str, text: str) -> int:
@@ -69,7 +85,9 @@ class StoreBackend:
 
     def read_journal(self, key: str) -> list[str]:
         """The journal's complete record lines, in append order (a
-        torn/truncated tail is dropped; missing journal = empty)."""
+        torn/truncated tail is dropped; missing journal = empty;
+        raises :class:`StoreReadError` when the backend cannot
+        read)."""
         raise NotImplementedError
 
     def delete(self, key: str) -> None:
@@ -120,8 +138,10 @@ class DirectoryBackend(StoreBackend):
     def read_doc(self, key: str) -> str | None:
         try:
             return (self.path / key).read_text(encoding="utf-8")
-        except OSError:
+        except _MISSING:
             return None
+        except OSError as exc:
+            raise StoreReadError(f"store document {key!r}: {exc}") from exc
 
     def write_doc(self, key: str, text: str) -> int:
         self.path.mkdir(parents=True, exist_ok=True)
@@ -208,8 +228,10 @@ class DirectoryBackend(StoreBackend):
     def read_journal(self, key: str) -> list[str]:
         try:
             data = (self.path / key).read_bytes()
-        except OSError:
+        except _MISSING:
             return []
+        except OSError as exc:
+            raise StoreReadError(f"store journal {key!r}: {exc}") from exc
         lines: list[str] = []
         # Only newline-terminated records count: a crash mid-append
         # leaves a torn tail, which is exactly the part we drop.

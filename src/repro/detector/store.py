@@ -80,6 +80,7 @@ from repro.detector.pipeline import DetectionPipeline
 from repro.detector.signature import RuleSignature
 from repro.detector.storage import (
     StoreBackend,
+    StoreReadError,
     StoreWriteError,
     make_store_backend,
 )
@@ -561,7 +562,10 @@ class DetectionStore:
         there is no usable snapshot or when a base shard is corrupt
         (folding then would make the degradation permanent: those apps
         currently re-sign transparently, and must keep doing so)."""
-        loaded = self._load()
+        try:
+            loaded = self._load()
+        except StoreReadError:
+            return False
         if loaded is None:
             return False
         snapshot, _next_seq, _journal_bytes, generation, failed = loaded
@@ -890,7 +894,12 @@ class DetectionStore:
         failed_environments)`` — the extra fields seed
         :meth:`_init_journal` so fresh commits extend the surviving
         consistent prefix, and let :meth:`compact` refuse to fold over
-        a base shard that no longer parses."""
+        a base shard that no longer parses.
+
+        Raises :class:`StoreReadError` when the backend could not read
+        a document or the journal: a snapshot without it would be a
+        partial one, and a commit seeded from it would overwrite the
+        durable state."""
         meta_text = self.backend.read_doc(_META_FILE)
         if meta_text is None:
             return None
@@ -980,8 +989,12 @@ class DetectionStore:
         ``environments`` restricts parsing to the named shards — the
         multi-home fleet path where one install should not pay for the
         whole snapshot.  Apps whose shard is not loaded validate as
-        stale (their fingerprints report ``None``)."""
-        loaded = self._load(environments)
+        stale (their fingerprints report ``None``).  A backend that
+        cannot read loads as ``None`` too — cold, never partial."""
+        try:
+            loaded = self._load(environments)
+        except StoreReadError:
+            return None
         return None if loaded is None else loaded[0]
 
     # ------------------------------------------------------------------

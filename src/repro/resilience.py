@@ -1,9 +1,11 @@
-"""Shared resilience primitives: circuit breakers and retry policies.
+"""Shared resilience primitives: circuit breakers, retry policies and
+the breaker-guarded SQLite connection.
 
-This module is deliberately dependency-free so every layer of the stack
-(constraint cache, storage backends, transport clients) can share one
-vocabulary for "stop hammering a sick dependency" and "retry with
-bounded, deterministic backoff".
+This module is a leaf — it imports only the standard library and the
+fault-injection hook — so every layer of the stack (constraint cache,
+storage backends, transport clients) can share one vocabulary for
+"stop hammering a sick dependency" and "retry with bounded,
+deterministic backoff".
 
 ``CircuitBreaker`` implements the classic closed -> open -> half-open
 state machine on a monotonic clock:
@@ -23,16 +25,28 @@ sleeping.  All methods are thread-safe.
 backoff with *deterministic* seeded jitter: the same
 ``(seed, attempt)`` pair always yields the same delay, so retry timing
 never introduces nondeterminism into otherwise reproducible runs.
+
+``GuardedSQLite`` is the one place that decides how a SQLite failure
+degrades, for both the shared solve cache and the SQLite store backend
+(DESIGN.md §15.3): a transient ``sqlite3.OperationalError`` is a
+breaker strike, any other ``sqlite3.Error`` disables the connection
+for good with a ``RuntimeWarning``, and either way the statement
+returns ``None`` instead of raising.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sqlite3
 import threading
 import time
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
-__all__ = ["CircuitBreaker", "RetryPolicy"]
+from repro.testing.faults import fault_hook
+
+__all__ = ["CircuitBreaker", "GuardedSQLite", "RetryPolicy"]
 
 
 class CircuitBreaker:
@@ -200,3 +214,138 @@ class RetryPolicy:
                     raise
                 sleep(self.delay(attempt))
         raise AssertionError("unreachable")  # pragma: no cover
+
+
+class GuardedSQLite:
+    """One WAL-mode SQLite connection whose failures degrade instead of
+    raising.
+
+    ``schema`` is the DDL run after the PRAGMAs; ``what`` names the
+    database in warnings ("shared solve cache") and ``fallback`` says
+    what a permanent disable means for its user ("degrading to
+    re-solving ..."); a breaker that opens is transient and its
+    warning says so instead.
+    Every statement runs inside one lock (the connection is shared
+    across threads) and returns ``None`` when degraded: permanently
+    disabled, breaker open, or a failure of this very statement —
+    which is never retried here; the layers above re-drive writes
+    through their own commit paths.  The file is never deleted, so
+    diagnosis stays possible and a concurrent healthy process is never
+    sabotaged.
+    """
+
+    def __init__(
+        self,
+        path: str | Path,
+        schema: tuple[str, ...],
+        *,
+        synchronous: str,
+        what: str,
+        fallback: str,
+        breaker: CircuitBreaker,
+        busy_timeout_ms: int = 5000,
+    ) -> None:
+        self.path = Path(path)
+        self.breaker = breaker
+        self._what = what
+        self._fallback = fallback
+        self._lock = threading.Lock()
+        self._conn: sqlite3.Connection | None = None
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            pass  # nothing was created; connect below degrades instead
+        try:
+            # Held on self at once, so a failure on the statements
+            # below still closes it in _disable.
+            conn = self._conn = sqlite3.connect(
+                str(self.path),
+                check_same_thread=False,
+                isolation_level=None,  # autocommit: writes land immediately
+            )
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
+            conn.execute(f"PRAGMA synchronous={synchronous}")
+            for statement in schema:
+                conn.execute(statement)
+        except sqlite3.Error as exc:
+            self._disable(exc)
+
+    def _disable(self, exc: Exception) -> None:
+        warnings.warn(
+            f"{self._what} {self.path} is unusable ({exc}); "
+            f"{self._fallback}",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+        self._release()
+
+    def _strike(self, exc: Exception) -> None:
+        """One transient failure: a breaker strike, not a disable."""
+        before = self.breaker.times_opened
+        self.breaker.record_failure()
+        if self.breaker.times_opened > before:
+            warnings.warn(
+                f"{self._what} {self.path} hit repeated transient errors "
+                f"({exc}); circuit breaker open for "
+                f"{self.breaker.cooldown_seconds:.1f}s — degraded until "
+                "the breaker closes",
+                RuntimeWarning,
+                stacklevel=5,
+            )
+
+    def _release(self) -> None:
+        # Caller holds the lock (or is the constructor).
+        if self._conn is not None:
+            try:
+                self._conn.close()
+            except sqlite3.Error:
+                pass  # the handle is dropped below either way
+        self._conn = None
+
+    @property
+    def breaker_state(self) -> str:
+        """"disabled" (permanent), else the breaker's current state."""
+        if self._conn is None:
+            return "disabled"
+        return self.breaker.state
+
+    def _run(self, fetch, sql, params, fault_point, info):
+        with self._lock:
+            if self._conn is None or not self.breaker.allow():
+                return None
+            try:
+                if fault_point:
+                    fault_hook(fault_point, **info)
+                result = fetch(self._conn.execute(sql, params))
+            except sqlite3.OperationalError as exc:
+                self._strike(exc)
+                return None
+            except sqlite3.Error as exc:
+                self._disable(exc)
+                return None
+            self.breaker.record_success()
+            return result
+
+    def query(
+        self, sql: str, params: tuple = (), fault_point: str = "", **info
+    ) -> list | None:
+        """Every row of one statement, fetched inside the guard."""
+        return self._run(
+            sqlite3.Cursor.fetchall, sql, params, fault_point, info
+        )
+
+    def execute(
+        self, sql: str, params: tuple = (), fault_point: str = "", **info
+    ) -> int | None:
+        """The row count of one statement."""
+        return self._run(
+            lambda cursor: cursor.rowcount, sql, params, fault_point, info
+        )
+
+    def checkpoint(self) -> None:
+        self.execute("PRAGMA wal_checkpoint(PASSIVE)")
+
+    def close(self) -> None:
+        with self._lock:
+            self._release()

@@ -23,7 +23,6 @@ a human in the loop.
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
 from pathlib import Path
 from typing import Iterable
@@ -326,7 +325,7 @@ class HomeGuardService:
                     # A device registration or a RECONFIGURE's review
                     # may not be durable yet.
                     home.flush_store()
-                except (OSError, sqlite3.Error):
+                except OSError:
                     continue
                 del self._homes[home_id]
                 break

@@ -32,8 +32,9 @@ Fault kinds
     Sleep ``delay`` seconds, then continue — simulates a wedged solve
     for the per-chunk ``solve_timeout`` deadline.
 ``io-error``
-    Raise ``sqlite3.OperationalError`` — the transient backend failure
-    the circuit breakers are wired for.
+    Raise :class:`InjectedIOError` — the transient storage failure the
+    circuit breakers are wired for: a ``sqlite3.OperationalError`` to
+    the SQLite guard, an ``OSError`` to the directory backend.
 ``disconnect``
     Raise ``ConnectionResetError`` — a dropped transport peer.
 
@@ -60,6 +61,7 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
+    "InjectedIOError",
     "fault_hook",
     "install_plan",
     "clear_plan",
@@ -82,6 +84,11 @@ KNOWN_POINTS = frozenset(
 
 class InjectedFault(RuntimeError):
     """Raised by ``error``-kind fault specs."""
+
+
+class InjectedIOError(sqlite3.OperationalError, OSError):
+    """Raised by ``io-error``-kind fault specs: one exception that is
+    the transient failure of whichever storage backend it hits."""
 
 
 @dataclass(frozen=True)
@@ -259,7 +266,7 @@ class FaultPlan:
         if spec.kind == "error":
             raise InjectedFault(message)
         if spec.kind == "io-error":
-            raise sqlite3.OperationalError(message)
+            raise InjectedIOError(message)
         if spec.kind == "disconnect":
             raise ConnectionResetError(message)
         if spec.kind == "hang":

@@ -30,7 +30,7 @@ from repro.constraints.dispatch import (
 from repro.constraints.solvecache import SQLiteSolveCache
 from repro.corpus import demo_apps
 from repro.detector import DetectionPipeline, DetectionStore
-from repro.detector.storage import SQLiteStoreBackend
+from repro.detector.storage import SQLiteStoreBackend, StoreReadError
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.rules.extractor import RuleExtractor
 from repro.service import HomeGuardService
@@ -504,27 +504,74 @@ def test_shared_cache_io_errors_degrade_to_resolves(tmp_path):
         cache.close()
 
 
-def test_sqlite_cache_breaker_opens_and_recovers(tmp_path):
-    cache = SQLiteSolveCache(
-        tmp_path / "cache.db",
-        breaker=CircuitBreaker(failure_threshold=2, cooldown_seconds=0.0),
+def _guarded_sqlite_user(user, tmp_path, breaker):
+    """One user of the breaker-guarded SQLite connection: the backend,
+    its fault points, a write (truthy once it landed), a read (``None``
+    on a miss — for the store, a read it refused) and what the read
+    returns after that one write."""
+    if user == "solve-cache":
+        cache = SQLiteSolveCache(tmp_path / "cache.db", breaker=breaker)
+        entry = {"verdict": "sat"}
+        return (
+            cache,
+            ("cache.get", "cache.put"),
+            lambda: cache.put("k1", entry),
+            lambda: cache.get("k1"),
+            entry,
+        )
+    store = SQLiteStoreBackend(
+        tmp_path / "store.sqlite", namespace="h1", breaker=breaker
+    )
+
+    def read():
+        try:
+            return store.read_journal("journal")
+        except StoreReadError:
+            return None
+
+    return (
+        store,
+        ("store.append",),
+        lambda: store.append_journal("journal", "line-1") > 0,
+        read,
+        ["line-1"],
+    )
+
+
+@pytest.mark.parametrize("user", ["solve-cache", "store"])
+def test_sqlite_cache_breaker_opens_and_recovers(tmp_path, user):
+    now = [0.0]
+    breaker = CircuitBreaker(
+        failure_threshold=2, cooldown_seconds=5.0, clock=lambda: now[0]
+    )
+    backend, points, write, read, written = _guarded_sqlite_user(
+        user, tmp_path, breaker
     )
     try:
-        entry = {"verdict": "sat"}
         with FaultPlan(
-            [FaultSpec("cache.put", kind="io-error", every=1)]
+            [FaultSpec(point, kind="io-error", every=1) for point in points]
         ):
-            assert cache.put("k1", entry) is False
-            with pytest.warns(RuntimeWarning, match="circuit breaker"):
-                assert cache.put("k1", entry) is False  # opens here
-        # Zero cooldown: the next call is the half-open probe, and with
-        # faults cleared it succeeds and closes the breaker.
-        assert cache.breaker_state in ("half-open", "open")
-        assert cache.put("k1", entry) is True
-        assert cache.breaker_state == "closed"
-        assert cache.get("k1") == entry
+            assert not write()
+            with pytest.warns(
+                RuntimeWarning, match="circuit breaker"
+            ) as opened:
+                assert not write()  # opens here
+        # A transient outage is told apart from a permanent disable.
+        assert "until the breaker closes" in str(opened[0].message)
+        # Open: with the faults gone, reads still miss and writes
+        # report nothing until the cooldown passes.
+        assert backend.breaker_state == "open"
+        assert read() is None
+        assert not write()
+        # After the cooldown the next call is the half-open probe; it
+        # succeeds and closes the breaker.
+        now[0] += breaker.cooldown_seconds
+        assert backend.breaker_state == "half-open"
+        assert write()
+        assert backend.breaker_state == "closed"
+        assert read() == written
     finally:
-        cache.close()
+        backend.close()
 
 
 # ----------------------------------------------------------------------

@@ -232,6 +232,14 @@ def test_sqlite_round_trip_persists_across_reopen(tmp_path):
     reopened.close()
 
 
+def test_sqlite_spec_creates_missing_parent_directory(tmp_path, recwarn):
+    cache = make_solve_cache(f"sqlite:{tmp_path / 'new' / 'fleet.db'}")
+    assert cache.put("sc1:abc", {"sat": True}) is True
+    assert cache.breaker_state == "closed"
+    assert not recwarn.list
+    cache.close()
+
+
 def test_sqlite_corrupt_file_degrades_with_warning(tmp_path):
     path = tmp_path / "fleet.db"
     garbage = b"this was never a SQLite database\x00\xff" * 64

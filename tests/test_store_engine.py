@@ -34,12 +34,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.constraints.solvecache import SQLiteSolveCache
 from repro.corpus import app_by_name
 from repro.detector import DetectionPipeline, DetectionStore
 from repro.detector.store import SCHEMA_VERSION
 from repro.detector.storage import (
     DirectoryBackend,
     SQLiteStoreBackend,
+    StoreReadError,
     StoreWriteError,
     make_store_backend,
 )
@@ -1215,6 +1217,29 @@ def test_directory_journal_drops_torn_tail(tmp_path):
     ]
 
 
+def test_unreadable_directory_journal_loads_cold(tmp_path):
+    # A journal that exists but cannot be read is not an empty one:
+    # replaying the base without it would restore a state the store
+    # never had, so the load is cold and a commit refuses to full-save
+    # over it.  Only an absent journal reads as empty.
+    rulesets, resolver = build_store(4)
+    pipeline, store, _ = drive_commits(tmp_path / "s", rulesets, resolver)
+    journal = tmp_path / "s" / "journal.jsonl"
+    assert journal.read_bytes()
+    journal.unlink()
+    journal.mkdir()  # reading it now fails with IsADirectoryError
+    backend = DirectoryBackend(tmp_path / "s")
+    with pytest.raises(StoreReadError):
+        backend.read_journal("journal.jsonl")
+    assert backend.read_journal("absent.jsonl") == []
+    assert backend.read_doc("absent.json") is None
+    reopened = DetectionStore(tmp_path / "s")
+    assert reopened.load() is None
+    assert not reopened.compact()
+    with pytest.raises(StoreReadError):
+        reopened.commit_app(pipeline, rulesets[0].app_name)
+
+
 def test_directory_sweep_clears_crashed_temporaries(tmp_path):
     backend = DirectoryBackend(tmp_path / "b")
     backend.write_doc("meta.json", "{}")
@@ -1324,7 +1349,97 @@ def test_sqlite_corruption_degrades_to_cold_store(tmp_path):
     assert db.read_bytes().startswith(b"definitely not")
 
 
-def test_sqlite_failed_open_closes_its_connection(tmp_path, monkeypatch):
+def _corrupt_second_half(db: Path) -> None:
+    """Checkpoint ``db`` and overwrite the second half of its pages
+    with 0xFF: the file still opens, and only a read that walks into
+    the damaged pages fails ("database disk image is malformed")."""
+    conn = sqlite3.connect(str(db))
+    conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+    conn.close()
+    data = db.read_bytes()
+    half = len(data) // 4096 // 2 * 4096
+    db.write_bytes(data[:half] + b"\xff" * (len(data) - half))
+
+
+def test_sqlite_corrupt_page_degrades_on_read(tmp_path):
+    # The file opens cleanly; the damage shows only when a read walks
+    # into a corrupt page.  That read disables the connection like a
+    # corrupt header does and raises the typed StoreReadError — never
+    # the raw sqlite3 error, and never an empty journal that would
+    # pass for a real one.
+    db = tmp_path / "store.sqlite"
+    backend = SQLiteStoreBackend(db, namespace="h1")
+    for index in range(400):
+        line = f"{index:04d}" + "x" * 896
+        assert backend.append_journal("journal.jsonl", line) > 0
+    del backend  # the last view: its shared connection goes with it
+    _corrupt_second_half(db)
+    reopened = SQLiteStoreBackend(db, namespace="h1")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(StoreReadError):
+            reopened.read_journal("journal.jsonl")
+    assert len(caught) == 1
+    assert "degrading to a cold store" in str(caught[0].message)
+    assert reopened.breaker_state == "disabled"
+
+
+def test_sqlite_corrupt_journal_restores_cold_not_partial(tmp_path):
+    # A home kept two apps, then journaled 300 device registrations.
+    # With the pages under its journal corrupt, a restore must not
+    # replay the base without the journal (that would bring back a
+    # state the home never had); it loads cold: no apps, one warning,
+    # the store breaker disabled, and no exception.
+    def service():
+        service = HomeGuardService(
+            workers=None, store_root=tmp_path, store_backend="sqlite",
+            **KEEP_ALL,
+        )
+        service.preload(
+            [app_by_name("ComfortTV"), app_by_name("ColdDefender")]
+        )
+        service.create_home("h1")
+        return service
+
+    first = service()
+    first.home("h1").store.journal_max_records = 10**6
+    for label, type_name in (
+        ("TV", "tv"), ("Temp", "temperatureSensor"),
+        ("Window", "windowOpener"),
+    ):
+        first.register_device("h1", label, type_name)
+    for spec in (COMFORT_TV, COLD_DEFENDER):
+        session = first.install(InstallRequest(home_id="h1", **spec))
+        assert session.decision == "keep"
+    for index in range(300):
+        first.register_device("h1", f"Lamp{index:03d}", "switch")
+    first.close()
+    intact = service()
+    assert sorted(intact.restore("h1")) == ["ColdDefender", "ComfortTV"]
+    intact.close()
+    del first, intact  # drop the last views of the shared connection
+    _corrupt_second_half(tmp_path / "store.sqlite")
+
+    damaged = service()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert damaged.restore("h1") == []
+    assert len(caught) == 1
+    assert "degrading to a cold store" in str(caught[0].message)
+    assert damaged.breaker_states()["store"] == "disabled"
+
+
+@pytest.mark.parametrize(
+    "open_backend, degraded",
+    [
+        (SQLiteStoreBackend, "degrading to a cold store"),
+        (SQLiteSolveCache, "degrading to re-solving"),
+    ],
+    ids=["store", "solve-cache"],
+)
+def test_sqlite_failed_open_closes_its_connection(
+    tmp_path, monkeypatch, open_backend, degraded
+):
     closed = []
 
     class TrackedConnection(sqlite3.Connection):
@@ -1342,8 +1457,8 @@ def test_sqlite_failed_open_closes_its_connection(tmp_path, monkeypatch):
     db = tmp_path / "garbage.db"
     db.write_bytes(b"definitely not a sqlite database" * 64)
     # connect() succeeds on any file; the first PRAGMA then fails.
-    with pytest.warns(RuntimeWarning, match="degrading to a cold store"):
-        backend = SQLiteStoreBackend(db)
+    with pytest.warns(RuntimeWarning, match=degraded):
+        backend = open_backend(db)
     assert backend.breaker_state == "disabled"
     assert len(closed) == 1
 
